@@ -5,29 +5,14 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"mlq/internal/geom"
 	"mlq/internal/journal"
 )
-
-// gatedPublisher builds a publisher whose writer is parked on an admit gate:
-// until the returned release func is called the writer consumes nothing, so
-// the queue saturates deterministically.
-func gatedPublisher(t *testing.T, cfg PublisherConfig) (*Publisher, func()) {
-	t.Helper()
-	gate := make(chan struct{})
-	pub, err := newPublisherGated(publisherModel(t), cfg, gate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var once sync.Once
-	release := func() { once.Do(func() { close(gate) }) }
-	t.Cleanup(func() { release(); pub.Close() })
-	return pub, release
-}
 
 func TestPublisherCloseIdempotentObserveTyped(t *testing.T) {
 	pub, err := NewPublisher(publisherModel(t), PublisherConfig{})
@@ -71,163 +56,59 @@ func TestPublisherCloseIdempotentObserveTyped(t *testing.T) {
 	}
 }
 
-func TestPublisherOverflowPolicies(t *testing.T) {
-	const capacity = 4
-	cases := []struct {
-		name     string
-		cfg      PublisherConfig
-		overflow int // Observes beyond capacity
-		check    func(t *testing.T, pub *Publisher, overflowErrs []error)
-	}{
-		{
-			name:     "block-times-out",
-			cfg:      PublisherConfig{QueueCapacity: capacity, Overflow: OverflowBlock, ObserveTimeout: 20 * time.Millisecond},
-			overflow: 2,
-			check: func(t *testing.T, pub *Publisher, overflowErrs []error) {
-				for i, err := range overflowErrs {
-					if !errors.Is(err, ErrObserveTimeout) {
-						t.Fatalf("overflow Observe %d: err %v, want ErrObserveTimeout", i, err)
+// TestPublisherObserveRacingCloseNeverLosesAck races observers against
+// Close: every Observe that returned nil must be in the snapshot Close
+// published. An Observe that passed its closed check just before Close, and
+// enqueued just after the writer's final drain, would be acknowledged yet
+// never applied.
+func TestPublisherObserveRacingCloseNeverLosesAck(t *testing.T) {
+	const trials, observers, perObserver, closeAfter = 1000, 8, 400, 50
+	// Oversubscribe the Ps so the OS can preempt an observer between its
+	// closed check and its enqueue, which is where an ack used to be lost.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	for trial := 0; trial < trials; trial++ {
+		pub, err := NewPublisher(publisherModel(t), PublisherConfig{QueueCapacity: 16, MaxBatch: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var acks atomic.Int64
+		closed := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < observers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < perObserver; i++ {
+					p := geom.Point{float64(g) / observers, float64(i) / perObserver}
+					err := pub.Observe(p, float64(i))
+					if errors.Is(err, ErrPublisherClosed) {
+						return
 					}
-				}
-				st := pub.Stats()
-				if st.Submitted != capacity || st.Timeouts != 2 || st.Dropped != 0 || st.Rejected != 0 {
-					t.Fatalf("stats %+v, want 4 submitted / 2 timeouts", st)
-				}
-			},
-		},
-		{
-			name:     "drop-oldest-sheds-head",
-			cfg:      PublisherConfig{QueueCapacity: capacity, Overflow: OverflowDropOldest},
-			overflow: 3,
-			check: func(t *testing.T, pub *Publisher, overflowErrs []error) {
-				for i, err := range overflowErrs {
 					if err != nil {
-						t.Fatalf("DropOldest Observe %d must not fail: %v", i, err)
+						t.Errorf("Observe: %v", err)
+						return
+					}
+					if acks.Add(1) == closeAfter {
+						close(closed)
 					}
 				}
-				st := pub.Stats()
-				if st.Submitted != capacity+3 || st.Dropped != 3 || st.Timeouts != 0 || st.Rejected != 0 {
-					t.Fatalf("stats %+v, want 7 submitted / 3 dropped", st)
-				}
-				// Staleness counts pending only: 7 accepted - 3 dropped = 4.
-				if got := pub.Staleness(); got != capacity {
-					t.Fatalf("staleness %d, want %d", got, capacity)
-				}
-			},
-		},
-		{
-			name:     "reject-sheds-tail",
-			cfg:      PublisherConfig{QueueCapacity: capacity, Overflow: OverflowReject},
-			overflow: 3,
-			check: func(t *testing.T, pub *Publisher, overflowErrs []error) {
-				for i, err := range overflowErrs {
-					if !errors.Is(err, ErrQueueFull) {
-						t.Fatalf("overflow Observe %d: err %v, want ErrQueueFull", i, err)
-					}
-				}
-				st := pub.Stats()
-				if st.Submitted != capacity || st.Rejected != 3 || st.Dropped != 0 || st.Timeouts != 0 {
-					t.Fatalf("stats %+v, want 4 submitted / 3 rejected", st)
-				}
-			},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			pub, release := gatedPublisher(t, tc.cfg)
-			p := geom.Point{0.5, 0.5}
-			for i := 0; i < capacity; i++ {
-				if err := pub.Observe(p, float64(i)); err != nil {
-					t.Fatalf("Observe %d within capacity failed: %v", i, err)
-				}
-			}
-			overflowErrs := make([]error, tc.overflow)
-			for i := range overflowErrs {
-				overflowErrs[i] = pub.Observe(p, float64(capacity+i))
-			}
-			tc.check(t, pub, overflowErrs)
-
-			// Release the writer: everything still pending must apply, the
-			// loss accounting must balance, and staleness must hit zero.
-			release()
-			if err := pub.Flush(); err != nil {
-				t.Fatalf("Flush after release: %v", err)
-			}
-			st := pub.Stats()
-			if st.Applied+st.Dropped != st.Submitted {
-				t.Fatalf("accounting broken: %+v (applied+dropped != submitted)", st)
-			}
-			if got := pub.Staleness(); got != 0 {
-				t.Fatalf("staleness %d after Flush, want 0", got)
-			}
-			if got := pub.Snapshot().Inserts(); got != st.Applied {
-				t.Fatalf("snapshot inserts %d, want %d applied", got, st.Applied)
-			}
-		})
-	}
-}
-
-// TestPublisherOverflowHammer saturates a tiny queue from several goroutines
-// under each non-blocking policy while readers predict, then checks the loss
-// accounting balances exactly. Run with -race to exercise the eviction path's
-// channel races.
-func TestPublisherOverflowHammer(t *testing.T) {
-	for _, policy := range []OverflowPolicy{OverflowDropOldest, OverflowReject} {
-		t.Run(policy.String(), func(t *testing.T) {
-			pub, err := NewPublisher(publisherModel(t), PublisherConfig{
-				QueueCapacity: 8, MaxBatch: 4, Overflow: policy,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			const goroutines, perG = 4, 500
-			var wg sync.WaitGroup
-			rejected := make([]int64, goroutines)
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(g)))
-					for i := 0; i < perG; i++ {
-						p := geom.Point{rng.Float64(), rng.Float64()}
-						err := pub.Observe(p, rng.Float64()*100)
-						switch {
-						case err == nil:
-						case errors.Is(err, ErrQueueFull):
-							rejected[g]++
-						default:
-							t.Errorf("goroutine %d: unexpected Observe error %v", g, err)
-							return
-						}
-						pub.Predict(p)
-					}
-				}(g)
-			}
-			wg.Wait()
-			if err := pub.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			st := pub.Stats()
-			var totalRejected int64
-			for _, r := range rejected {
-				totalRejected += r
-			}
-			if st.Rejected != totalRejected {
-				t.Fatalf("stats rejected %d, callers saw %d", st.Rejected, totalRejected)
-			}
-			if st.Submitted+st.Rejected != goroutines*perG {
-				t.Fatalf("stats %+v: submitted+rejected != %d attempts", st, goroutines*perG)
-			}
-			if st.Applied+st.Dropped != st.Submitted {
-				t.Fatalf("accounting broken after hammer: %+v", st)
-			}
-			if policy == OverflowDropOldest && st.Rejected != 0 {
-				t.Fatalf("DropOldest rejected %d observations", st.Rejected)
-			}
-			if err := pub.Close(); err != nil {
-				t.Fatal(err)
-			}
-		})
+			}(g)
+		}
+		allDone := make(chan struct{})
+		go func() { wg.Wait(); close(allDone) }()
+		select {
+		case <-closed:
+		case <-allDone: // every observer failed before closeAfter acks
+		}
+		if err := pub.Close(); err != nil {
+			t.Fatal(err)
+		}
+		<-allDone
+		st := pub.Stats()
+		if st.Submitted != acks.Load() || st.Applied != st.Submitted || pub.Snapshot().Inserts() != st.Applied {
+			t.Fatalf("trial %d: %d acks, stats %+v, final snapshot holds %d inserts",
+				trial, acks.Load(), st, pub.Snapshot().Inserts())
+		}
 	}
 }
 
@@ -276,7 +157,7 @@ func TestPublisherJournalReplayAfterKill(t *testing.T) {
 	f.Close()
 
 	recovered := publisherModel(t)
-	applied, truncated, err := ReplayJournal(recovered, path)
+	applied, truncated, err := ReplayJournal(recovered, path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

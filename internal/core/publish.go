@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mlq/internal/events"
 	"mlq/internal/geom"
@@ -15,55 +14,9 @@ import (
 	"mlq/internal/telemetry"
 )
 
-// Typed Publisher errors, so callers can distinguish backpressure outcomes
-// from validation failures with errors.Is and react per policy.
-var (
-	// ErrPublisherClosed reports an Observe or Flush against a Publisher
-	// whose Close has begun. The observation was not accepted.
-	ErrPublisherClosed = errors.New("core: publisher is closed")
-	// ErrQueueFull reports an Observe shed by the Reject overflow policy
-	// because the ingest queue was at capacity. The observation was not
-	// accepted; the caller may retry, downsample, or drop.
-	ErrQueueFull = errors.New("core: publisher queue is full")
-	// ErrObserveTimeout reports a blocking Observe abandoned by the
-	// per-Observe deadline before queue space appeared. The observation was
-	// not accepted.
-	ErrObserveTimeout = errors.New("core: observe deadline exceeded")
-)
-
-// OverflowPolicy decides what Observe does when the ingest queue is full.
-// The choice trades the three things a saturated feedback loop can sacrifice:
-// caller latency (Block), oldest data (DropOldest), or newest data (Reject).
-type OverflowPolicy int
-
-const (
-	// OverflowBlock makes Observe wait for queue space (bounded by the
-	// per-Observe deadline, if one is configured). No observation is lost;
-	// staleness stays <= QueueCapacity + MaxBatch. The default.
-	OverflowBlock OverflowPolicy = iota
-	// OverflowDropOldest evicts the oldest queued observation to admit the
-	// new one. Observe never blocks; the model prefers fresh feedback and
-	// Stats().Dropped counts the sacrifice.
-	OverflowDropOldest
-	// OverflowReject sheds the new observation with ErrQueueFull. Observe
-	// never blocks and the queue's contents are never sacrificed; the
-	// caller decides what to do with the rejected observation.
-	OverflowReject
-)
-
-// String names the policy for flags and telemetry.
-func (p OverflowPolicy) String() string {
-	switch p {
-	case OverflowBlock:
-		return "block"
-	case OverflowDropOldest:
-		return "drop-oldest"
-	case OverflowReject:
-		return "reject"
-	default:
-		return fmt.Sprintf("OverflowPolicy(%d)", int(p))
-	}
-}
+// ErrPublisherClosed reports an Observe or Flush against a Publisher whose
+// Close has begun. The observation was not accepted.
+var ErrPublisherClosed = errors.New("core: publisher is closed")
 
 // Publisher turns a single-threaded MLQ tree into a concurrency-safe Model
 // using epoch/snapshot publishing instead of a lock:
@@ -94,18 +47,20 @@ type Publisher struct {
 	queue chan observation
 	stop  chan struct{}
 
+	// closeMu makes acceptance atomic with respect to Close: Observe holds
+	// it shared from its stop check through the accepted-observation
+	// bookkeeping, and Close holds it exclusively only to close stop. An
+	// Observe therefore either finishes enqueuing before the writer's final
+	// drain begins, or sees stop closed and is refused — never acknowledged
+	// into a queue nobody will read again.
+	closeMu sync.RWMutex
+
 	submitted atomic.Int64 // observations accepted by Observe
 	applied   atomic.Int64 // observations folded into a published snapshot
-	dropped   atomic.Int64 // accepted observations evicted by DropOldest
-	rejected  atomic.Int64 // observations shed by Reject (never accepted)
-	timeouts  atomic.Int64 // blocking Observes abandoned by the deadline
 
 	region   geom.Rect // frozen copy for synchronous Observe validation
 	name     string
 	maxBatch int
-
-	overflow   OverflowPolicy
-	obsTimeout time.Duration // bounds a blocking Observe; 0 = wait forever
 
 	// jmu serializes the accepted-observation pipeline across observers:
 	// sequence assignment, the journal append, and the subscriber fan-out
@@ -126,8 +81,6 @@ type Publisher struct {
 	events *events.Recorder // causal event spine; nil = recording off
 
 	onPublish atomic.Pointer[func(epoch uint64, applied int64)]
-
-	admit chan struct{} // test-only writer gate; nil in production
 
 	writerDone chan struct{}
 	flushReq   chan flushRequest
@@ -182,15 +135,6 @@ type PublisherConfig struct {
 	// MaxBatch bounds how many queued observations the writer folds into
 	// the tree before it must publish a fresh snapshot. Default 64.
 	MaxBatch int
-	// Overflow selects what Observe does when the queue is full. Default
-	// OverflowBlock (the pre-policy behavior).
-	Overflow OverflowPolicy
-	// ObserveTimeout bounds how long a blocking Observe (OverflowBlock)
-	// waits for queue space before failing with ErrObserveTimeout. Zero
-	// means wait until space appears or the publisher closes. The timer is
-	// armed only on the full-queue path, so an unsaturated loop never
-	// touches the clock.
-	ObserveTimeout time.Duration
 	// Journal, when non-nil, receives every accepted observation before it
 	// is applied, making the feedback loop crash-safe: after a kill,
 	// ReplayJournal feeds the surviving prefix into a fresh model. Append
@@ -219,21 +163,8 @@ func (c PublisherConfig) withDefaults() PublisherConfig {
 // m (or its tree) again except through the Publisher. Close releases the
 // writer goroutine and hands the tree back.
 func NewPublisher(m *MLQ, cfg PublisherConfig) (*Publisher, error) {
-	return newPublisherGated(m, cfg, nil)
-}
-
-// newPublisherGated is the test seam behind NewPublisher: when admit is
-// non-nil the writer consumes one token from it per loop iteration, letting
-// tests hold the queue saturated deterministically while they probe the
-// overflow policies. Production always passes nil.
-func newPublisherGated(m *MLQ, cfg PublisherConfig, admit chan struct{}) (*Publisher, error) {
 	if m == nil {
 		return nil, fmt.Errorf("core: NewPublisher requires a model")
-	}
-	switch cfg.Overflow {
-	case OverflowBlock, OverflowDropOldest, OverflowReject:
-	default:
-		return nil, fmt.Errorf("core: unknown overflow policy %d", int(cfg.Overflow))
 	}
 	cfg = cfg.withDefaults()
 	pub := &Publisher{
@@ -242,14 +173,11 @@ func newPublisherGated(m *MLQ, cfg PublisherConfig, admit chan struct{}) (*Publi
 		region:     m.tree.Config().Region.Clone(),
 		name:       m.Name(),
 		maxBatch:   cfg.MaxBatch,
-		overflow:   cfg.Overflow,
-		obsTimeout: cfg.ObserveTimeout,
 		journal:    cfg.Journal,
 		events:     cfg.Events,
 		writerDone: make(chan struct{}),
 		flushReq:   make(chan flushRequest),
 		resizeReq:  make(chan resizeRequest),
-		admit:      admit,
 	}
 	pub.cur.Store(&epochState{snap: m.tree.Snapshot(), epoch: 0})
 	go pub.writer(m)
@@ -269,9 +197,10 @@ func (pub *Publisher) PredictBeta(p geom.Point, beta int) (float64, bool) {
 
 // Observe implements Model: it validates the observation synchronously
 // (dimension and finiteness errors are the caller's, not the writer's) and
-// enqueues it for the writer goroutine. What happens when the queue is full
-// depends on the configured OverflowPolicy; Observe returns
-// ErrPublisherClosed without enqueuing once Close has begun.
+// enqueues it for the writer goroutine, blocking while the queue is full.
+// Once Close has begun, Observe returns ErrPublisherClosed without
+// enqueuing; an Observe that returns nil is always in the snapshot Close
+// publishes.
 func (pub *Publisher) Observe(p geom.Point, actual float64) error {
 	if len(p) != pub.region.Dims() {
 		return fmt.Errorf("core: observation has %d dims, model has %d", len(p), pub.region.Dims())
@@ -289,85 +218,21 @@ func (pub *Publisher) Observe(p geom.Point, actual float64) error {
 		cause:  pub.events.MintID(),
 		mint:   pub.events.Now(),
 	}
+	// Under closeMu stop cannot close, so once this check passes the writer
+	// is still live and will drain the queue: the send below may wait for
+	// space but always completes. The check must come first — a select
+	// offering both a free slot and a closed stop picks at random.
+	pub.closeMu.RLock()
+	defer pub.closeMu.RUnlock()
 	select {
 	case <-pub.stop:
 		return ErrPublisherClosed
 	default:
 	}
-
-	switch pub.overflow {
-	case OverflowReject:
-		select {
-		case pub.queue <- o:
-		default:
-			pub.rejected.Add(1)
-			if tel := pub.tel.Load(); tel != nil {
-				tel.rejected.Inc()
-			}
-			return ErrQueueFull
-		}
-	case OverflowDropOldest:
-		for enqueued := false; !enqueued; {
-			select {
-			case pub.queue <- o:
-				enqueued = true
-			default:
-				// Full: evict the oldest queued observation and try again.
-				// The inner select races the eviction against the writer
-				// freeing a slot itself, so we never evict more than needed.
-				select {
-				case <-pub.queue:
-					pub.dropped.Add(1)
-					if tel := pub.tel.Load(); tel != nil {
-						tel.dropped.Inc()
-					}
-				case pub.queue <- o:
-					enqueued = true
-				case <-pub.stop:
-					return ErrPublisherClosed
-				}
-			}
-		}
-	default: // OverflowBlock
-		if err := pub.blockingEnqueue(o); err != nil {
-			return err
-		}
-	}
-
+	//lint:ignore chanowner closeMu keeps stop open for the whole send, so the writer is live and drains the queue; the send waits for space but always completes
+	pub.queue <- o
 	pub.accepted(o)
 	return nil
-}
-
-// blockingEnqueue waits for queue space, bounded by the per-Observe deadline
-// when one is configured. The fast path (queue has room) never arms a timer.
-func (pub *Publisher) blockingEnqueue(o observation) error {
-	select {
-	case pub.queue <- o:
-		return nil
-	default:
-	}
-	if pub.obsTimeout <= 0 {
-		select {
-		case pub.queue <- o:
-			return nil
-		case <-pub.stop:
-			return ErrPublisherClosed
-		}
-	}
-	timer := time.NewTimer(pub.obsTimeout)
-	defer timer.Stop()
-	select {
-	case pub.queue <- o:
-		return nil
-	case <-timer.C:
-		pub.timeouts.Add(1)
-		if tel := pub.tel.Load(); tel != nil {
-			tel.timeouts.Inc()
-		}
-		return fmt.Errorf("%w: queue full for %v", ErrObserveTimeout, pub.obsTimeout)
-	case <-pub.stop:
-		return ErrPublisherClosed
-	}
 }
 
 // Accepted describes one observation the publisher accepted, as delivered
@@ -438,6 +303,8 @@ func (pub *Publisher) accepted(o observation) {
 // callbacks for seq n and n+1 never race each other and arrive in sequence
 // order. Keep callbacks fast and non-blocking (hand off to a queue;
 // replication streams do): a slow subscriber backpressures every Observe.
+// A callback must not call Close: Close waits for every in-flight Observe,
+// including the one running the callback.
 // Accepted.Point is the publisher's own copy and must not be mutated.
 // The returned cancel removes the subscription; it is safe to call twice.
 func (pub *Publisher) Subscribe(fn func(acc Accepted)) (cancel func()) {
@@ -493,10 +360,9 @@ func (pub *Publisher) Epoch() uint64 { return pub.cur.Load().epoch }
 
 // Staleness returns how many accepted observations are not yet reflected in
 // the published snapshot (queued or mid-batch). It is bounded above by
-// QueueCapacity + MaxBatch. Observations evicted by DropOldest stopped
-// being pending the moment they were dropped, so they do not count.
+// QueueCapacity + MaxBatch.
 func (pub *Publisher) Staleness() int64 {
-	s := pub.submitted.Load() - pub.applied.Load() - pub.dropped.Load()
+	s := pub.submitted.Load() - pub.applied.Load()
 	if s < 0 {
 		// Observe increments submitted after its enqueue succeeds, so a
 		// batch can be counted as applied before its submissions are; the
@@ -507,14 +373,10 @@ func (pub *Publisher) Staleness() int64 {
 }
 
 // PublisherStats is a point-in-time snapshot of the publisher's acceptance
-// and loss accounting. Submitted = Applied + Dropped + pending; Rejected and
-// Timeouts count observations that were never accepted.
+// and journal accounting. Submitted = Applied + pending.
 type PublisherStats struct {
 	Submitted     int64 // observations accepted by Observe
 	Applied       int64 // folded into a published snapshot
-	Dropped       int64 // accepted, then evicted by OverflowDropOldest
-	Rejected      int64 // shed by OverflowReject (not accepted)
-	Timeouts      int64 // blocking Observes abandoned by the deadline (not accepted)
 	Journaled     int64 // accepted observations persisted to the journal
 	JournalErrors int64 // journal appends that failed (full or IO error)
 }
@@ -524,9 +386,6 @@ func (pub *Publisher) Stats() PublisherStats {
 	return PublisherStats{
 		Submitted:     pub.submitted.Load(),
 		Applied:       pub.applied.Load(),
-		Dropped:       pub.dropped.Load(),
-		Rejected:      pub.rejected.Load(),
-		Timeouts:      pub.timeouts.Load(),
 		Journaled:     pub.journaled.Load(),
 		JournalErrors: pub.journalErrs.Load(),
 	}
@@ -607,10 +466,13 @@ func (pub *Publisher) Checkpoint() error {
 // Close drains the queue, publishes a final snapshot, stops the writer
 // goroutine and returns the writer's first unreported insert error. Close is
 // idempotent; Observe calls racing with it either enqueue in time for the
-// final batch or report the publisher closed.
+// final batch or report the publisher closed. Close waits for in-flight
+// Observes (see closeMu), so it must not be called from a Subscribe callback.
 func (pub *Publisher) Close() error {
 	pub.closeOnce.Do(func() {
+		pub.closeMu.Lock()
 		close(pub.stop)
+		pub.closeMu.Unlock()
 		<-pub.writerDone
 		pub.closeErr = pub.drainErr()
 	})
@@ -670,7 +532,7 @@ func (pub *Publisher) writer(m *MLQ) {
 	drain := func() {
 		for {
 			fill()
-			if len(batch) == 0 && pub.applied.Load()+pub.dropped.Load() >= pub.submitted.Load() {
+			if len(batch) == 0 && pub.applied.Load() >= pub.submitted.Load() {
 				return
 			}
 			apply()
@@ -678,17 +540,6 @@ func (pub *Publisher) writer(m *MLQ) {
 	}
 
 	for {
-		if pub.admit != nil {
-			// Test gate: hold the writer here until the test feeds a token,
-			// keeping the queue deterministically saturated. Close still
-			// drains — shutdown must not depend on the gate.
-			select {
-			case <-pub.admit:
-			case <-pub.stop:
-				drain()
-				return
-			}
-		}
 		select {
 		case o := <-pub.queue:
 			batch = append(batch, o)
@@ -697,9 +548,7 @@ func (pub *Publisher) writer(m *MLQ) {
 		case req := <-pub.flushReq:
 			// Everything accepted before the Flush call is already in the
 			// queue (see drain), so non-blocking fills reach the target.
-			// Dropped observations count toward it: they were accepted and
-			// are resolved, just not by applying.
-			for pub.applied.Load()+pub.dropped.Load() < req.target {
+			for pub.applied.Load() < req.target {
 				fill()
 				apply()
 			}
@@ -762,16 +611,11 @@ func (pub *Publisher) drainErr() error {
 // cut as a torn/corrupt tail (expected after a kill — not an error). A
 // missing file replays zero records. Records the model rejects (wrong
 // dimensionality — a foreign journal) abort the replay with an error. Call
-// it on the fresh MLQ before wrapping it in a Publisher.
-func ReplayJournal(m *MLQ, path string) (applied int, truncated int64, err error) {
-	return ReplayJournalEvents(m, path, nil)
-}
-
-// ReplayJournalEvents is ReplayJournal with the event spine attached: a
-// torn tail — the journal-truncation fault — emits a journal-torn event and
-// fires the flight recorder, so the post-kill dump shows what the loop was
-// doing when the tail was lost. rec may be nil.
-func ReplayJournalEvents(m *MLQ, path string, rec *events.Recorder) (applied int, truncated int64, err error) {
+// it on the fresh MLQ before wrapping it in a Publisher. A torn tail — the
+// journal-truncation fault — emits a journal-torn event on rec and fires its
+// flight recorder, so the post-kill dump shows what the loop was doing when
+// the tail was lost; rec may be nil.
+func ReplayJournal(m *MLQ, path string, rec *events.Recorder) (applied int, truncated int64, err error) {
 	recs, truncated, err := journal.ReplayFile(path)
 	if err != nil {
 		return 0, truncated, err
@@ -803,9 +647,6 @@ type publisherTelemetry struct {
 	writerErrs *telemetry.Counter
 	resizes    *telemetry.Counter
 
-	dropped     *telemetry.Counter
-	rejected    *telemetry.Counter
-	timeouts    *telemetry.Counter
 	journaled   *telemetry.Counter
 	journalErrs *telemetry.Counter
 }
@@ -830,9 +671,6 @@ func (pub *Publisher) Instrument(reg *telemetry.Registry, labels ...telemetry.La
 		writerErrs: reg.Counter("mlq_publisher_writer_errors_total", "tree-level insert failures on the writer goroutine", labels...),
 		resizes:    reg.Counter("mlq_publisher_resizes_total", "budget changes applied through the writer goroutine", labels...),
 
-		dropped:     reg.Counter("mlq_publisher_dropped_total", "accepted observations evicted by the drop-oldest overflow policy", labels...),
-		rejected:    reg.Counter("mlq_publisher_rejected_total", "observations shed by the reject overflow policy", labels...),
-		timeouts:    reg.Counter("mlq_publisher_observe_timeouts_total", "blocking Observes abandoned by the per-Observe deadline", labels...),
 		journaled:   reg.Counter("mlq_publisher_journaled_total", "accepted observations persisted to the crash-safety journal", labels...),
 		journalErrs: reg.Counter("mlq_publisher_journal_errors_total", "journal appends that failed (journal full or IO error)", labels...),
 	})

@@ -12,7 +12,8 @@ import (
 // code path holding lock i may acquire lock j only when i precedes j here.
 // It was derived from the PR 6 replica fleet — the group lock wraps lineage
 // reads, lineage wraps per-node state, node state wraps the publisher's
-// journal critical section, and everything may take the leaf mutexes
+// accept gate (closeMu, held across an Observe) and that wraps its journal
+// critical section, and everything may take the leaf mutexes
 // (telemetry counters, transport bookkeeping, error latches) last. The
 // budget arbiter's mutex sits outermost: a Cycle holds it across every
 // holder resize, which may enter the publisher's writer machinery and from
@@ -29,6 +30,7 @@ var CanonicalLockOrder = []string{
 	"replica.Group.mu",
 	"replica.Group.linMu",
 	"replica.node.mu",
+	"core.Publisher.closeMu",
 	"core.Publisher.jmu",
 	"core.Publisher.errMu",
 	"replica.Group.ckptMu",
