@@ -326,7 +326,7 @@ func BenchmarkPredictTelemetry(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			t := newBenchTree(b, quadtree.Eager, 92)
 			if mode == "on" {
-				t.Instrument(telemetry.New(), nil, telemetry.L("model", "bench"))
+				t.Instrument(telemetry.New(), telemetry.L("model", "bench"))
 			}
 			for i := 0; i < 20000; i++ {
 				t.Insert(pts[i%len(pts)], float64(i%10000))

@@ -12,9 +12,9 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -38,16 +38,20 @@ func main() {
 	mem := flag.Int("mem", 0, "override the model memory limit in bytes (0 = paper's 1.8 KB)")
 	trials := flag.Int("trials", 1, "replicate accuracy cells across N seeds (fig8 reports mean±std)")
 	telemetryAddr := flag.String("telemetry", "", "serve live metrics on this address while experiments run (e.g. localhost:9090, :0 for a free port; empty disables)")
-	traceOut := flag.String("trace-out", "", "write feedback-loop trace spans as JSONL to this file (empty disables)")
 	eventsDir := flag.String("events-dir", "", "record the causal event spine: flight-recorder dumps land in this directory and a final events.mlqbb export is written on exit (empty disables)")
 	flag.Parse()
 
-	reg, tr, cleanup, err := setupTelemetry(*telemetryAddr, *traceOut)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mlqbench:", err)
-		os.Exit(1)
+	var reg *telemetry.Registry
+	if *telemetryAddr != "" {
+		reg = telemetry.New()
+		srv, err := telemetry.Serve(*telemetryAddr, reg)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "mlqbench:", err)
+			os.Exit(1)
+		}
+		fmt.Fprintf(os.Stderr, "telemetry: serving %s\n", srv.URL())
+		defer srv.Close()
 	}
-	defer cleanup()
 
 	rec, err := setupEvents(*eventsDir, *seed, reg)
 	if err != nil {
@@ -55,12 +59,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	if err := run(*exp, *seed, *quick, *queries, *mem, *trials, reg, tr, rec); err != nil {
-		fmt.Fprintln(os.Stderr, "mlqbench:", err)
-		os.Exit(1)
-	}
-
-	if err := exportEvents(*eventsDir, rec); err != nil {
+	// A failed run exports too: its timeline is the one worth decoding.
+	err = run(*exp, *seed, *quick, *queries, *mem, *trials, reg, rec)
+	if err = errors.Join(err, exportEvents(*eventsDir, rec, err)); err != nil {
 		fmt.Fprintln(os.Stderr, "mlqbench:", err)
 		os.Exit(1)
 	}
@@ -88,17 +89,22 @@ func setupEvents(dir string, seed int64, reg *telemetry.Registry) (*events.Recor
 	return rec, nil
 }
 
-// exportEvents writes the spine's final state to events.mlqbb in the dir.
-func exportEvents(dir string, rec *events.Recorder) error {
+// exportEvents writes the spine's final state to events.mlqbb in the dir,
+// with reason run-failed when runErr is set.
+func exportEvents(dir string, rec *events.Recorder, runErr error) error {
 	if rec == nil {
 		return nil
+	}
+	reason := "run-complete"
+	if runErr != nil {
+		reason = "run-failed"
 	}
 	path := filepath.Join(dir, "events.mlqbb")
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("exporting events: %w", err)
 	}
-	if err := rec.DumpTo(f, "run-complete"); err != nil {
+	if err := rec.DumpTo(f, reason); err != nil {
 		f.Close()
 		return fmt.Errorf("exporting events: %w", err)
 	}
@@ -109,41 +115,9 @@ func exportEvents(dir string, rec *events.Recorder) error {
 	return nil
 }
 
-// setupTelemetry starts the exposition server and trace sink per the CLI
-// flags. All returns are nil/no-op when both flags are empty.
-func setupTelemetry(addr, traceOut string) (*telemetry.Registry, *telemetry.Tracer, func(), error) {
-	cleanup := func() {}
-	var reg *telemetry.Registry
-	var sink io.Writer
-	if addr != "" {
-		reg = telemetry.New()
-		srv, err := telemetry.Serve(addr, reg)
-		if err != nil {
-			return nil, nil, cleanup, err
-		}
-		fmt.Fprintf(os.Stderr, "telemetry: serving %s\n", srv.URL())
-		cleanup = func() { srv.Close() }
-	}
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			cleanup()
-			return nil, nil, func() {}, fmt.Errorf("opening trace sink: %w", err)
-		}
-		sink = f
-		prev := cleanup
-		cleanup = func() { prev(); f.Close() }
-	}
-	var tr *telemetry.Tracer
-	if reg != nil || sink != nil {
-		tr = telemetry.NewTracer(reg, nil, sink)
-	}
-	return reg, tr, cleanup, nil
-}
-
-func run(exp string, seed int64, quick bool, queries, mem, trials int, reg *telemetry.Registry, tr *telemetry.Tracer, rec *events.Recorder) error {
-	synthOpts := harness.Options{Seed: seed, Queries: 5000, MemoryLimit: mem, Trials: trials, Telemetry: reg, Tracer: tr, Events: rec}
-	realOpts := harness.Options{Seed: seed, Queries: 2500, MemoryLimit: mem, Telemetry: reg, Tracer: tr, Events: rec}
+func run(exp string, seed int64, quick bool, queries, mem, trials int, reg *telemetry.Registry, rec *events.Recorder) error {
+	synthOpts := harness.Options{Seed: seed, Queries: 5000, MemoryLimit: mem, Trials: trials, Telemetry: reg, Events: rec}
+	realOpts := harness.Options{Seed: seed, Queries: 2500, MemoryLimit: mem, Telemetry: reg, Events: rec}
 	if quick {
 		synthOpts.Queries, realOpts.Queries = 600, 400
 	}

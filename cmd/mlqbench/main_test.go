@@ -1,15 +1,55 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"net/http"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"mlq/internal/events"
 	"mlq/internal/telemetry"
 )
+
+// TestMain lets a test run this binary as mlqbench itself: with
+// MLQBENCH_AS_MAIN=1 in the environment the process is main on its own
+// arguments, exit status included.
+func TestMain(m *testing.M) {
+	if os.Getenv("MLQBENCH_AS_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestFailedRunExportsEvents checks a run that fails still exits nonzero
+// and leaves its timeline: events.mlqbb decodes cleanly with reason
+// run-failed.
+func TestFailedRunExportsEvents(t *testing.T) {
+	dir := t.TempDir()
+	cmd := exec.Command(os.Args[0], "-exp", "nonsense", "-events-dir", dir)
+	cmd.Env = append(os.Environ(), "MLQBENCH_AS_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("failed run: err = %v, want exit status 1\n%s", err, out)
+	}
+	meta, _, crcErrs, err := events.ReadDumpFile(filepath.Join(dir, "events.mlqbb"))
+	if err != nil {
+		t.Fatalf("decoding the export: %v\n%s", err, out)
+	}
+	if crcErrs != 0 {
+		t.Errorf("export has %d CRC-damaged frame(s), want 0", crcErrs)
+	}
+	if meta.Reason != "run-failed" {
+		t.Errorf("export reason = %q, want run-failed", meta.Reason)
+	}
+}
 
 // The experiment plumbing is covered in internal/harness; these tests pin
 // the CLI wiring: every experiment name resolves and runs end to end on a
@@ -18,7 +58,7 @@ func TestRunEachExperiment(t *testing.T) {
 	for _, exp := range []string{"fig8", "fig10", "fig12", "shift", "nn", "leo", "ablate"} {
 		exp := exp
 		t.Run(exp, func(t *testing.T) {
-			if err := run(exp, 1, true, 120, 0, 1, nil, nil, nil); err != nil {
+			if err := run(exp, 1, true, 120, 0, 1, nil, nil); err != nil {
 				t.Fatalf("run(%q): %v", exp, err)
 			}
 		})
@@ -32,7 +72,7 @@ func TestRunRealExperimentsSmall(t *testing.T) {
 	for _, exp := range []string{"fig9", "fig11", "chaos"} {
 		exp := exp
 		t.Run(exp, func(t *testing.T) {
-			if err := run(exp, 1, true, 60, 0, 1, nil, nil, nil); err != nil {
+			if err := run(exp, 1, true, 60, 0, 1, nil, nil); err != nil {
 				t.Fatalf("run(%q): %v", exp, err)
 			}
 		})
@@ -40,13 +80,13 @@ func TestRunRealExperimentsSmall(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("nonsense", 1, true, 50, 0, 1, nil, nil, nil); err == nil {
+	if err := run("nonsense", 1, true, 50, 0, 1, nil, nil); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
 
 func TestRunMemoryOverride(t *testing.T) {
-	if err := run("fig8", 2, true, 100, 4096, 2, nil, nil, nil); err != nil {
+	if err := run("fig8", 2, true, 100, 4096, 2, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -57,6 +97,7 @@ func TestRunMemoryOverride(t *testing.T) {
 var chaosSeries = []string{
 	"mlq_quadtree_memory_utilization{",
 	"mlq_quadtree_compressions_total{",
+	"mlq_quadtree_compress_seconds_count{",
 	"mlq_engine_predictions_total{",
 	"mlq_engine_observations_total{",
 	"mlq_engine_breaker_open{",
@@ -77,10 +118,9 @@ func TestTelemetryScrapeMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	tr := telemetry.NewTracer(reg, nil, nil)
 
 	done := make(chan error, 1)
-	go func() { done <- run("chaos", 1, true, 60, 0, 1, reg, tr, nil) }()
+	go func() { done <- run("chaos", 1, true, 60, 0, 1, reg, nil) }()
 
 	scrape := func() string {
 		t.Helper()

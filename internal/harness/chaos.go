@@ -115,27 +115,23 @@ type chaosState struct {
 	execFailures int64 // per-UDF share of the cell's ExecFailures
 
 	// Telemetry handles (all inert when telemetry is disabled).
-	label   telemetry.Label
 	preds   *telemetry.Counter
 	gm      *engine.GuardMetrics
 	tracker *telemetry.ErrorTracker
 }
 
 // instrument attaches the state's current model tree and feedback counters to
-// the options' registry/tracer. Called once per cell and again after a
-// catalog reload swaps in an adopted tree — the registry hands back the same
-// series for the same labels, so the metrics continue seamlessly.
+// the options' registry. Called once per cell and again after a catalog
+// reload swaps in an adopted tree — the registry hands back the same series
+// for the same labels, so the metrics continue seamlessly.
 func (s *chaosState) instrument(opts Options) {
-	if opts.Telemetry == nil && opts.Tracer == nil {
-		return
-	}
-	s.label = telemetry.L("udf", s.u.Name())
-	s.mlq.Tree().Instrument(opts.Telemetry, opts.Tracer, s.label)
+	label := telemetry.L("udf", s.u.Name())
+	s.mlq.Tree().Instrument(opts.Telemetry, label)
 	s.preds = opts.Telemetry.Counter("mlq_engine_predictions_total",
-		"model Predict calls made while planning", s.label)
-	s.gm = engine.NewGuardMetrics(opts.Telemetry, s.label)
+		"model Predict calls made while planning", label)
+	s.gm = engine.NewGuardMetrics(opts.Telemetry, label)
 	if s.tracker == nil {
-		s.tracker = telemetry.NewErrorTracker(opts.Telemetry, s.label)
+		s.tracker = telemetry.NewErrorTracker(opts.Telemetry, label)
 	}
 }
 
@@ -294,18 +290,14 @@ func runChaosCell(inj *faults.Injector, rate float64, udfs []udf.UDF, stores []*
 	for q := 0; q < opts.Queries; q++ {
 		for _, s := range states {
 			p := s.src.Next()
-			sp := opts.Tracer.Start("predict", s.label)
 			pred, ok := s.fb.Predict(p)
-			sp.End()
 			s.preds.Inc()
 			if !ok || !core.ValidCost(pred) {
 				return cell, fmt.Errorf("model %s answered invalid prediction (%v, %v) — degradation chain broken",
 					s.fb.Name(), pred, ok)
 			}
 			cell.Executions++
-			sp = opts.Tracer.Start("execute", s.label)
 			actual, failed := chaosExecute(s.u, p, inj)
-			sp.End()
 			if failed {
 				// The execution produced no cost: no sample, no feedback,
 				// and — the entire point — no crash.
@@ -319,10 +311,7 @@ func runChaosCell(inj *faults.Injector, rate float64, udfs []udf.UDF, stores []*
 			if corrupted {
 				cell.Corrupted++
 			}
-			sp = opts.Tracer.Start("observe", s.label)
-			fed := s.guard.Feed(s.fb, p, obs)
-			sp.End()
-			switch fed {
+			switch s.guard.Feed(s.fb, p, obs) {
 			case engine.FedQuarantined:
 				cell.Quarantined++
 			case engine.FedRejected:
@@ -333,10 +322,7 @@ func runChaosCell(inj *faults.Injector, rate float64, udfs []udf.UDF, stores []*
 			s.gm.Publish(s.guard.Stats())
 		}
 		if saveEvery > 0 && (q+1)%saveEvery == 0 {
-			sp := opts.Tracer.Start("save")
-			err := chaosSaveLoad(path, states, inj, &cell, opts)
-			sp.End()
-			if err != nil {
+			if err := chaosSaveLoad(path, states, inj, &cell, opts); err != nil {
 				return cell, err
 			}
 		}

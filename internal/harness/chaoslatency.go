@@ -213,6 +213,7 @@ func runChaosLatencyCell(sev float64, resilient bool, cfg ChaosLatencyConfig, op
 		inj.Enable(faults.PageRead, faults.SiteConfig{Probability: sev * chaosLatencyFaultScale})
 		for _, c := range caches {
 			c.SetRetryPolicy(cfg.Retry)
+			c.SetEvents(opts.Events)
 			c.SetReadLatency(func(pagestore.PageID) time.Duration { return inj.PageReadDelay() })
 		}
 		for _, st := range stores {

@@ -176,6 +176,7 @@ func runMemWallCell(name string, frac float64, arbitrated bool, cfg MemWallConfi
 	if err != nil {
 		return row, err
 	}
+	cache.SetEvents(opts.Events)
 	mlq, err := core.NewMLQ(quadtree.Config{
 		Region:      geom.UnitCube(2),
 		MaxDepth:    6,

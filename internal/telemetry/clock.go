@@ -5,9 +5,10 @@ import (
 	"time"
 )
 
-// Clock abstracts the tracer's time source so traced code stays
+// Clock abstracts the time source of the event spine (internal/events) and
+// of the registry's JSON scrape metadata, so timestamped output stays
 // deterministic under test: the engine, optimizer and quadtree never call
-// time.Now themselves (the detertime analyzer enforces that), and the tracer
+// time.Now themselves (the detertime analyzer enforces that), and the spine
 // only reaches the wall clock through this interface. Tests inject a
 // FakeClock and replay identical timelines run after run.
 type Clock interface {
@@ -21,7 +22,7 @@ type wallClock struct{}
 
 // Now returns the wall-clock time.
 func (wallClock) Now() time.Time {
-	//lint:ignore detertime the telemetry layer's single wall-clock boundary; spans record when work happened, they never influence a decision
+	//lint:ignore detertime the telemetry layer's single wall-clock boundary; timestamps record when work happened, they never influence a decision
 	return time.Now()
 }
 

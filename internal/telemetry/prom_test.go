@@ -30,7 +30,7 @@ func goldenRegistry() *Registry {
 	r.Counter("mlq_engine_evaluations_total", "UDF executions",
 		L("udf", "we\\ird\"name\nhere")).Store(3)
 	r.GaugeFunc("mlq_model_nae", "rolling NAE", func() float64 { return 0.125 }, L("model", "MLQ-E"))
-	h := r.Histogram("mlq_trace_span_seconds", "stage durations", L("span", "compress"))
+	h := r.Histogram("mlq_quadtree_compress_seconds", "compression pass durations", L("model", "WIN"))
 	for _, v := range []float64{0.001, 0.001, 0.004, 0.25, 1e12} { // 1e12 overflows
 		h.Observe(v)
 	}
@@ -89,7 +89,7 @@ func TestHistogramCumulativity(t *testing.T) {
 	for sc.Scan() {
 		line := sc.Text()
 		switch {
-		case strings.HasPrefix(line, "mlq_trace_span_seconds_bucket"):
+		case strings.HasPrefix(line, "mlq_quadtree_compress_seconds_bucket"):
 			le := line[strings.Index(line, `le="`)+4:]
 			le = le[:strings.Index(le, `"`)]
 			v, err := strconv.ParseInt(line[strings.LastIndex(line, " ")+1:], 10, 64)
@@ -106,7 +106,7 @@ func TestHistogramCumulativity(t *testing.T) {
 				les = append(les, f)
 			}
 			cums = append(cums, v)
-		case strings.HasPrefix(line, "mlq_trace_span_seconds_count"):
+		case strings.HasPrefix(line, "mlq_quadtree_compress_seconds_count"):
 			v, err := strconv.ParseInt(line[strings.LastIndex(line, " ")+1:], 10, 64)
 			if err != nil {
 				t.Fatal(err)
@@ -224,7 +224,7 @@ func TestJSONExposition(t *testing.T) {
 	if v, ok := out[`mlq_quadtree_inserts_total{model="WIN"}`]; !ok || v.(float64) != 128 {
 		t.Errorf("counter series missing or wrong: %v", v)
 	}
-	hv, ok := out[`mlq_trace_span_seconds{span="compress"}`]
+	hv, ok := out[`mlq_quadtree_compress_seconds{model="WIN"}`]
 	if !ok {
 		t.Fatalf("histogram series missing:\n%s", b.String())
 	}

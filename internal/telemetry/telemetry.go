@@ -1,12 +1,13 @@
 // Package telemetry is the runtime observability layer of the MLQ engine:
 // a concurrency-safe registry of counters, gauges and log-bucketed
-// histograms, Prometheus-text and JSON exposition over HTTP (server.go), a
-// span tracer for the Figure-1 feedback loop with an injected clock
-// (trace.go, clock.go), and a rolling prediction-error tracker (errtrack.go).
+// histograms, Prometheus-text and JSON exposition over HTTP (server.go), the
+// injectable clock shared with the event spine (clock.go), and a rolling
+// prediction-error tracker (errtrack.go). The timeline of a run is the event
+// spine's (internal/events), not this package's.
 //
 // The package is stdlib-only, matching the repository's no-external-deps
 // stance (see DESIGN.md §7), and every type is nil-safe: methods on a nil
-// *Registry, *Counter, *Gauge, *Histogram, *Tracer or *ErrorTracker are
+// *Registry, *Counter, *Gauge, *Histogram or *ErrorTracker are
 // no-ops, so instrumented code pays only a nil check when telemetry is
 // disabled — the hot-path contract the Predict benchmarks enforce.
 //

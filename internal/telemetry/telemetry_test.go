@@ -71,11 +71,6 @@ func TestNilSafety(t *testing.T) {
 	if h.Count() != 0 || h.Sum() != 0 || h.Quantile(0.5) != 0 {
 		t.Error("nil histogram has state")
 	}
-	var tr *Tracer
-	sp := tr.Start("x")
-	sp.End()
-	tr.ObserveSpan("y", 1)
-	tr.Event("z")
 	var et *ErrorTracker
 	et.Observe(1, 2)
 }
