@@ -6,7 +6,6 @@
 package buffercache
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"time"
@@ -120,12 +119,18 @@ type RetryStats struct {
 
 // Cache is a fixed-capacity page cache over a pagestore.Store.
 // It is not safe for concurrent use.
+//
+// Page IDs are dense (pagestore.Alloc hands them out from zero), so the
+// cache keeps one slot per page ID instead of a map. Two intrusive lists run
+// through the slots: the replacement order of the cached pages and the ghost
+// list of recently evicted ones. A page is in at most one of them, so one
+// pair of links per slot serves both.
 type Cache struct {
 	store    *pagestore.Store
 	capacity int
 	policy   Policy
-	order    *list.List // front = most recent (LRU) / newest (FIFO, Clock)
-	byID     map[pagestore.PageID]*list.Element
+	slots    []slot // indexed by page ID; grows with the store
+	order    ilist  // cached pages; head = most recent (LRU) / newest (FIFO, Clock)
 
 	hits      int64
 	misses    int64
@@ -138,8 +143,7 @@ type Cache struct {
 	// a ghost hit: a physical read that one more capacity window of pages
 	// would have avoided. Ghost bookkeeping never influences replacement
 	// decisions, so cache behavior is bit-identical with the list in place.
-	ghost     *list.List // evicted-page IDs, most recently evicted first
-	ghostByID map[pagestore.PageID]*list.Element
+	ghost     ilist // evicted pages; head = most recently evicted
 	ghostHits int64
 
 	retry      RetryPolicy
@@ -151,10 +155,61 @@ type Cache struct {
 	ev  *events.Recorder // causal event spine; nil = recording off
 }
 
-type entry struct {
-	id   pagestore.PageID
-	data []byte
-	ref  bool // Clock's second-chance bit
+// Slot states: a page is uncached, cached (on the order list) or a ghost
+// (on the ghost list).
+const (
+	slotFree uint8 = iota
+	slotCached
+	slotGhost
+)
+
+// slot is one page ID's cache state and its links in whichever list holds it.
+type slot struct {
+	data       []byte // page contents while cached
+	prev, next int32  // list neighbours, nilSlot at the ends
+	state      uint8
+	ref        bool // Clock's second-chance bit
+}
+
+// nilSlot terminates a list.
+const nilSlot = int32(-1)
+
+// ilist is an intrusive doubly linked list of slot indices.
+type ilist struct {
+	head, tail int32
+	n          int
+}
+
+func emptyList() ilist { return ilist{head: nilSlot, tail: nilSlot} }
+
+// pushFront links slot i at the head of l.
+func (c *Cache) pushFront(l *ilist, i int32) {
+	s := &c.slots[i]
+	s.prev, s.next = nilSlot, l.head
+	if l.head != nilSlot {
+		c.slots[l.head].prev = i
+	} else {
+		l.tail = i
+	}
+	l.head = i
+	l.n++
+}
+
+// unlink removes slot i from l.
+func (c *Cache) unlink(l *ilist, i int32) {
+	s := &c.slots[i]
+	if s.prev != nilSlot {
+		c.slots[s.prev].next = s.next
+	} else {
+		l.head = s.next
+	}
+	if s.next != nilSlot {
+		c.slots[s.next].prev = s.prev
+	} else {
+		l.tail = s.prev
+	}
+	s.prev, s.next = nilSlot, nilSlot
+	l.n--
 }
 
 // New returns an LRU cache holding up to capacity pages.
@@ -176,13 +231,12 @@ func NewWithPolicy(store *pagestore.Store, capacity int, policy Policy) (*Cache,
 		return nil, fmt.Errorf("buffercache: unknown policy %d", int(policy))
 	}
 	return &Cache{
-		store:     store,
-		capacity:  capacity,
-		policy:    policy,
-		order:     list.New(),
-		byID:      make(map[pagestore.PageID]*list.Element, capacity),
-		ghost:     list.New(),
-		ghostByID: make(map[pagestore.PageID]*list.Element, capacity),
+		store:    store,
+		capacity: capacity,
+		policy:   policy,
+		slots:    make([]slot, store.NumPages()),
+		order:    emptyList(),
+		ghost:    emptyList(),
 	}, nil
 }
 
@@ -284,19 +338,23 @@ func (c *Cache) readThrough(id pagestore.PageID) ([]byte, error) {
 // costs nothing; a miss performs one physical read and may evict a page
 // per the replacement policy. The returned slice must not be modified.
 func (c *Cache) Get(id pagestore.PageID) ([]byte, error) {
-	if el, ok := c.byID[id]; ok {
-		c.hits++
-		e := el.Value.(*entry)
-		switch c.policy {
-		case LRU:
-			c.order.MoveToFront(el)
-		case Clock:
-			e.ref = true
+	if int(id) < len(c.slots) {
+		if s := &c.slots[id]; s.state == slotCached {
+			c.hits++
+			switch c.policy {
+			case LRU:
+				if c.order.head != int32(id) {
+					c.unlink(&c.order, int32(id))
+					c.pushFront(&c.order, int32(id))
+				}
+			case Clock:
+				s.ref = true
+			}
+			if c.tel != nil {
+				c.tel.publish(c)
+			}
+			return s.data, nil
 		}
-		if c.tel != nil {
-			c.tel.publish(c)
-		}
-		return e.data, nil
 	}
 	data, err := c.readThrough(id)
 	if err != nil {
@@ -307,19 +365,23 @@ func (c *Cache) Get(id pagestore.PageID) ([]byte, error) {
 		return nil, err
 	}
 	c.misses++
-	if el, ok := c.ghostByID[id]; ok {
+	if int(id) >= len(c.slots) {
+		// The read succeeded, so the store has grown past the slots.
+		c.slots = append(c.slots, make([]slot, c.store.NumPages()-len(c.slots))...)
+	}
+	if c.slots[id].state == slotGhost {
 		// This physical read would have been a hit with one more capacity
 		// window of pages — the signal the memory arbiter's hit-ratio
 		// gradient is built from. Each eviction can contribute at most one
 		// ghost hit: the entry is consumed.
 		c.ghostHits++
-		c.ghost.Remove(el)
-		delete(c.ghostByID, id)
+		c.unlink(&c.ghost, int32(id))
 	}
-	if c.order.Len() >= c.capacity {
+	if c.order.n >= c.capacity {
 		c.evict()
 	}
-	c.byID[id] = c.order.PushFront(&entry{id: id, data: data})
+	c.slots[id] = slot{data: data, state: slotCached}
+	c.pushFront(&c.order, int32(id))
 	if c.tel != nil {
 		c.tel.publish(c)
 	}
@@ -329,51 +391,36 @@ func (c *Cache) Get(id pagestore.PageID) ([]byte, error) {
 // evict removes one page per the replacement policy.
 func (c *Cache) evict() {
 	c.evictions++
-	switch c.policy {
-	case LRU, FIFO:
-		// LRU keeps recency order by moving hits to the front, so the
-		// back is the least recently used; under FIFO the back is
-		// simply the oldest-loaded page.
-		back := c.order.Back()
-		c.order.Remove(back)
-		id := back.Value.(*entry).id
-		delete(c.byID, id)
-		c.remember(id)
-	case Clock:
-		// Sweep from the oldest end, granting one second chance to
-		// referenced pages.
-		for {
-			back := c.order.Back()
-			e := back.Value.(*entry)
-			if e.ref {
-				e.ref = false
-				c.order.MoveToFront(back)
-				continue
-			}
-			c.order.Remove(back)
-			delete(c.byID, e.id)
-			c.remember(e.id)
-			return
-		}
+	// LRU keeps recency order by moving hits to the front, so the tail is
+	// the least recently used; under FIFO the tail is simply the
+	// oldest-loaded page. Clock sweeps from the oldest end, granting one
+	// second chance to referenced pages.
+	victim := c.order.tail
+	for c.policy == Clock && c.slots[victim].ref {
+		c.slots[victim].ref = false
+		c.unlink(&c.order, victim)
+		c.pushFront(&c.order, victim)
+		victim = c.order.tail
 	}
+	c.unlink(&c.order, victim)
+	c.slots[victim].data = nil
+	c.remember(victim)
 }
 
-// remember records an evicted page ID in the ghost list, bounded to one
+// remember records an evicted page in the ghost list, bounded to one
 // capacity window of history.
-func (c *Cache) remember(id pagestore.PageID) {
-	if el, ok := c.ghostByID[id]; ok {
-		c.ghost.Remove(el)
-	}
-	c.ghostByID[id] = c.ghost.PushFront(id)
+func (c *Cache) remember(i int32) {
+	c.slots[i].state = slotGhost
+	c.pushFront(&c.ghost, i)
 	c.trimGhost()
 }
 
 // trimGhost bounds the ghost list to the current capacity.
 func (c *Cache) trimGhost() {
-	for c.ghost.Len() > c.capacity {
-		back := c.ghost.Back()
-		c.ghost.Remove(back)
-		delete(c.ghostByID, back.Value.(pagestore.PageID))
+	for c.ghost.n > c.capacity {
+		back := c.ghost.tail
+		c.unlink(&c.ghost, back)
+		c.slots[back].state = slotFree
 	}
 }
 
@@ -407,7 +454,7 @@ func (c *Cache) HitRatio() float64 {
 func (c *Cache) GhostHits() int64 { return c.ghostHits }
 
 // Len returns the number of cached pages.
-func (c *Cache) Len() int { return c.order.Len() }
+func (c *Cache) Len() int { return c.order.n }
 
 // Capacity returns the cache capacity in pages.
 func (c *Cache) Capacity() int { return c.capacity }
@@ -436,7 +483,7 @@ func (c *Cache) Resize(pages int) error {
 	}
 	old := c.capacity
 	c.capacity = pages
-	for c.order.Len() > c.capacity {
+	for c.order.n > c.capacity {
 		c.evict()
 	}
 	c.trimGhost()
@@ -452,10 +499,14 @@ func (c *Cache) Resize(pages int) error {
 // The ghost list is dropped too: after a cold restart an early miss says
 // nothing about capacity.
 func (c *Cache) Invalidate() {
-	c.order.Init()
-	c.byID = make(map[pagestore.PageID]*list.Element, c.capacity)
-	c.ghost.Init()
-	c.ghostByID = make(map[pagestore.PageID]*list.Element, c.capacity)
+	for _, l := range []*ilist{&c.order, &c.ghost} {
+		for i := l.head; i != nilSlot; {
+			next := c.slots[i].next
+			c.slots[i] = slot{}
+			i = next
+		}
+		*l = emptyList()
+	}
 }
 
 // Meter measures the IO cost of one query: snapshot before, Delta/Cost after.

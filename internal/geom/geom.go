@@ -99,8 +99,14 @@ func (r Rect) Contains(p Point) bool {
 // below it; coordinates below Lo are raised to Lo. This lets callers insert
 // boundary points (e.g. an argument at its documented maximum) without
 // special-casing the half-open convention.
-func (r Rect) Clamp(p Point) Point {
-	q := p.Clone()
+func (r Rect) Clamp(p Point) Point { return r.ClampInto(make(Point, len(p)), p) }
+
+// ClampInto is Clamp writing into dst, which must have room for len(p)
+// coordinates, and returning dst[:len(p)]. Hot paths pass a stack buffer so
+// clamping allocates nothing.
+func (r Rect) ClampInto(dst, p Point) Point {
+	q := dst[:len(p)]
+	copy(q, p)
 	for i := range q {
 		if q[i] < r.Lo[i] {
 			q[i] = r.Lo[i]

@@ -103,7 +103,8 @@ func TestFig10RealShape(t *testing.T) {
 		}
 		// The paper's key claim: modeling overhead is a small fraction
 		// of real UDF execution cost (PC ~0.02%, MUC <= 1.2%). Our
-		// simulated UDFs are faster than Oracle's, so allow up to 20%.
+		// simulated UDFs are faster than Oracle's, so allow PC up to 0.2
+		// and MUC up to 0.5 of the UDF execution time.
 		if r.PC > 0.2 || r.MUC > 0.5 {
 			t.Errorf("%v: overhead too high: %+v", r.Method, r)
 		}

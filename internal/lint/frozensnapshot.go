@@ -49,11 +49,12 @@ var frozenTypes = map[string]map[string]bool{
 // arenaMutators are the arena methods that write. Invoking one through a
 // frozen root mutates shared state just as surely as a field assignment.
 var arenaMutators = map[string]bool{
-	"addChild":     true,
-	"removeChild":  true,
-	"add":          true,
-	"compactKids":  true,
-	"compactNodes": true,
+	"addChild":            true,
+	"removeChild":         true,
+	"add":                 true,
+	"compactKids":         true,
+	"compactNodes":        true,
+	"compactKidsIfSparse": true,
 }
 
 func (FrozenSnapshot) Run(pkg *Package) []Finding {

@@ -13,7 +13,8 @@ import "math"
 //     quadrant index instead of a linear scan;
 //   - per-node Go memory shrinks from ~56 bytes + a 16-byte child entry +
 //     one heap allocation per node to a 40-byte slot + an 8-byte child
-//     entry, all in two allocations per tree;
+//     entry, all in two allocations per tree (the slot's last four bytes,
+//     alignment padding otherwise, are the compression pass's scratch);
 //   - the whole tree is trivially copyable — Snapshot and Clone are a
 //     handful of slice copies — which is what makes the lock-free
 //     epoch/snapshot read path in core affordable.
@@ -32,6 +33,11 @@ import "math"
 // slot number is ascending creation time; the stable compaction at the end
 // of each pass (see compress) preserves relative order, keeping the
 // invariant across the tree's whole lifetime.
+//
+// The kids slice is compacted lazily, under one rule (compactKidsIfSparse):
+// only once dead entries outnumber live ones. Garbage entries are never
+// read — every walk goes through a live node's span — so leaving them in
+// place between compactions changes no output.
 
 // noParent marks the root's parent slot.
 const noParent = int32(-1)
@@ -56,6 +62,7 @@ type node struct {
 	parent int32
 	kidOff int32
 	kidLen int32
+	fwd    int32 // compression scratch: walk positions, then post-compaction index
 }
 
 // arena is the flat node store. nodes[0] is always the root.
@@ -176,69 +183,95 @@ func (a *arena) creationOrder(n int32, buf []kidRef) []kidRef {
 	return buf
 }
 
-// compactKids rewrites the kids slice without garbage, walking node slots in
-// order so every span stays contiguous and index-sorted.
+// packKids returns a garbage-free copy of the kids the given nodes' spans
+// reference, rewriting each node's kidOff to its span's new position. Spans
+// are laid out in node-slot order, each still contiguous and index-sorted.
+// Every slot must be live: it runs outside compression or after
+// compactNodes.
+func packKids(nodes []node, kids []kidRef, garbage int) []kidRef {
+	fresh := make([]kidRef, 0, len(kids)-garbage)
+	for i := range nodes {
+		nd := &nodes[i]
+		off := int32(len(fresh))
+		fresh = append(fresh, kids[nd.kidOff:nd.kidOff+nd.kidLen]...)
+		nd.kidOff = off
+	}
+	return fresh
+}
+
+// compactKids rewrites the kids slice without garbage.
 func (a *arena) compactKids() {
 	if a.kidGarbage == 0 {
 		return
 	}
-	fresh := make([]kidRef, 0, len(a.kids)-a.kidGarbage)
-	for i := range a.nodes {
-		nd := &a.nodes[i]
-		if nd.parent == deadParent {
-			continue
-		}
-		off := int32(len(fresh))
-		fresh = append(fresh, a.kids[nd.kidOff:nd.kidOff+nd.kidLen]...)
-		nd.kidOff = off
-	}
-	a.kids = fresh
+	a.kids = packKids(a.nodes, a.kids, a.kidGarbage)
 	a.kidGarbage = 0
+}
+
+// compactKidsIfSparse is the one rule for reclaiming kids garbage (span
+// relocations and removals leave holes): compact once dead entries
+// outnumber live ones, and there are enough of them to be worth a copy.
+// The copy is amortized over at least as many garbage-producing updates
+// as it moves entries.
+func (a *arena) compactKidsIfSparse() {
+	if a.kidGarbage > len(a.kids)/2 && a.kidGarbage > 64 {
+		a.compactKids()
+	}
 }
 
 // compactNodes squeezes dead slots out of the node slice, remapping parents
 // and child refs. The compaction is stable — surviving slots keep their
 // relative order — which preserves the slot-order-is-creation-order
-// invariant creationOrder depends on. It returns the number of live slots.
+// invariant creationOrder depends on. The remap goes through each slot's
+// fwd field, filled before anything moves, so it needs no scratch array.
+// It returns the number of live slots.
 func (a *arena) compactNodes() int {
-	remap := make([]int32, len(a.nodes))
-	live := 0
-	for i := range a.nodes {
-		if a.nodes[i].parent == deadParent {
-			remap[i] = -1
+	nodes := a.nodes
+	live, firstDead := int32(0), len(nodes)
+	for i := range nodes {
+		if nodes[i].parent == deadParent {
+			nodes[i].fwd = -1
+			firstDead = min(firstDead, i)
 			continue
 		}
-		remap[i] = int32(live)
-		if live != i {
-			a.nodes[live] = a.nodes[i]
-		}
+		nodes[i].fwd = live
 		live++
 	}
-	if live == len(a.nodes) {
-		return live
+	if int(live) == len(nodes) {
+		return int(live)
 	}
-	a.nodes = a.nodes[:live]
-	for i := range a.nodes {
-		if p := a.nodes[i].parent; p >= 0 {
-			a.nodes[i].parent = remap[p]
+	// Live spans reference only live slots (compression unlinks a leaf
+	// before killing it), and garbage kids entries are never read, so
+	// remapping the live spans remaps every reference that matters.
+	for i := range nodes {
+		nd := &nodes[i]
+		if nd.parent == deadParent {
+			continue
+		}
+		if nd.parent >= 0 {
+			nd.parent = nodes[nd.parent].fwd
+		}
+		span := a.kids[nd.kidOff : nd.kidOff+nd.kidLen]
+		for k := range span {
+			span[k].ref = nodes[span[k].ref].fwd
 		}
 	}
-	for i := range a.kids {
-		if r := a.kids[i].ref; r >= 0 {
-			a.kids[i].ref = remap[r]
+	for i := firstDead + 1; i < len(nodes); i++ { // slots before firstDead stay put
+		if f := nodes[i].fwd; f >= 0 {
+			nodes[f] = nodes[i]
 		}
 	}
-	return live
+	a.nodes = nodes[:live]
+	return int(live)
 }
 
 // clone returns an independent copy of the arena — two slice copies. This
-// is the whole snapshot cost of the epoch-publishing read path.
+// is the whole snapshot cost of the epoch-publishing read path. The copy's
+// kids slice is packed, so snapshots carry no garbage.
 func (a *arena) clone() arena {
 	nodes := make([]node, len(a.nodes))
 	copy(nodes, a.nodes)
-	kids := make([]kidRef, len(a.kids))
-	copy(kids, a.kids)
-	return arena{nodes: nodes, kids: kids, kidGarbage: a.kidGarbage}
+	return arena{nodes: nodes, kids: packKids(nodes, a.kids, a.kidGarbage)}
 }
 
 // --- summary math (Eq. 3, 4, 9) ---

@@ -1,9 +1,6 @@
 package quadtree
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // heapItem pairs a leaf candidate with its (fixed) SSEG key. SSEG values do
 // not change while compression runs — removing a leaf leaves every other
@@ -14,36 +11,135 @@ type heapItem struct {
 	sseg float64
 }
 
-// leafHeap is a min-heap of removal candidates ordered by SSEG.
+// leafHeap is a min-heap of removal candidates ordered by SSEG. It is
+// container/heap's algorithm written out for this one element type, with
+// the same comparisons and swaps in the same order, so victims pop in
+// exactly the order (ties included) the generic heap produced — without
+// boxing every element in an interface.
 type leafHeap []heapItem
 
-func (h leafHeap) Len() int            { return len(h) }
-func (h leafHeap) Less(i, j int) bool  { return h[i].sseg < h[j].sseg }
-func (h leafHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *leafHeap) Push(x interface{}) { *h = append(*h, x.(heapItem)) }
-func (h *leafHeap) Pop() interface{} {
+func (h leafHeap) init() {
+	n := len(h)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
+}
+
+func (h *leafHeap) push(it heapItem) {
+	*h = append(*h, it)
+	h.up(len(*h) - 1)
+}
+
+func (h *leafHeap) pop() heapItem {
 	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old.down(0, n)
+	it := old[n]
+	*h = old[:n]
 	return it
 }
 
-// victimKey returns the ordering key for compression victims under the
+func (h leafHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].sseg < h[i].sseg) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h leafHeap) down(i, n int) {
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].sseg < h[j1].sseg {
+			j = j2 // right child
+		}
+		if !(h[j].sseg < h[i].sseg) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
+
+// maxRetainedVictims bounds the victim heap a tree keeps between passes:
+// 1024 entries (16 KB) covers budgets up to about 20 KB, ten times the
+// paper's 1843 B, whose trees compress every few inserts. Reusing the heap
+// there makes a warm model compress without allocating. A bigger tree walks
+// O(nodes) per pass anyway, so it allocates its heap afresh each pass
+// rather than carry 16 bytes per leaf in its steady-state footprint.
+const maxRetainedVictims = 1024
+
+// victimKey returns leaf n's ordering key for compression victims under the
 // configured policy: SSEG (the paper's), point count, or a deterministic
-// pseudo-random key (for ablations — see harness.Ablate("policy", ...)).
-func (t *Tree) victimKey() func(int32) float64 {
+// pseudo-random key drawn from the pass's keySeq stream (for ablations —
+// see harness.Ablate("policy", ...)).
+func (t *Tree) victimKey(n int32) float64 {
 	switch t.cfg.Policy {
 	case CompressCount:
-		return func(n int32) float64 { return float64(t.a.nodes[n].count) }
+		return float64(t.a.nodes[n].count)
 	case CompressRandom:
-		seq := uint64(t.compressions)*2654435761 + 1
-		return func(n int32) float64 {
-			seq = seq*6364136223846793005 + 1442695040888963407
-			return float64(seq >> 11)
-		}
+		t.keySeq = t.keySeq*6364136223846793005 + 1442695040888963407
+		return float64(t.keySeq >> 11)
 	default:
-		return t.a.sseg
+		return t.a.sseg(n)
+	}
+}
+
+// collectVictims fills the victim heap's array (not yet heap-ordered)
+// with every non-root leaf, in the order a depth-first walk visiting
+// children in creation order meets them — the order the pointer-linked
+// implementation's recursive collection produced, which the heap layout,
+// tie-breaking and the CompressRandom key stream all depend on.
+//
+// The walk is computed without recursion or sorting, in three passes over
+// the arena, using each slot's fwd field as scratch. Slot order is
+// creation order and every parent precedes its children, so:
+//
+//  1. in reverse slot order, each node's leaf count is final when it is
+//     reached and can be added into its parent's;
+//  2. in slot order, a node's children are met in creation order, so a
+//     per-parent cursor hands each child the walk position of its first
+//     leaf — the parent's position plus the leaves of earlier siblings;
+//  3. keys are drawn in walk order, as the recursive walk drew them.
+//
+// Every slot is live here: compression compacts at the end of each pass.
+func (t *Tree) collectVictims() {
+	nodes := t.a.nodes
+	for i := range nodes {
+		nodes[i].fwd = 0
+	}
+	for i := len(nodes) - 1; i > 0; i-- {
+		nd := &nodes[i]
+		if nd.kidLen == 0 {
+			nd.fwd = 1
+		}
+		nodes[nd.parent].fwd += nd.fwd
+	}
+	leaves := int(nodes[0].fwd)
+	if cap(t.victims) < leaves {
+		t.victims = make(leafHeap, leaves, t.nodeCount) // plus one push per pop
+	}
+	t.victims = t.victims[:leaves]
+	nodes[0].fwd = 0 // the root's cursor: its first leaf opens the walk
+	for i := 1; i < len(nodes); i++ {
+		nd := &nodes[i]
+		count := nd.fwd
+		nd.fwd = nodes[nd.parent].fwd
+		nodes[nd.parent].fwd += count
+		if nd.kidLen == 0 {
+			t.victims[nd.fwd].ref = int32(i)
+		}
+	}
+	for j := range t.victims {
+		t.victims[j].sseg = t.victimKey(t.victims[j].ref)
 	}
 }
 
@@ -86,41 +182,22 @@ func (t *Tree) compress() {
 		}
 	}()
 
-	key := t.victimKey()
-	h := make(leafHeap, 0, t.nodeCount)
-	// The collect recursion reuses one scratch buffer for the per-level
-	// creation-order views; each level records its own window into it.
-	scratch := t.collectScratch[:0]
-	var collect func(n int32)
-	collect = func(n int32) {
-		if t.a.isLeaf(n) {
-			if n != 0 {
-				h = append(h, heapItem{ref: n, sseg: key(n)})
-			}
-			return
-		}
-		base := len(scratch)
-		scratch = t.a.creationOrder(n, scratch)
-		for i := base; i < len(scratch); i++ {
-			collect(scratch[i].ref)
-		}
-		scratch = scratch[:base]
-	}
-	collect(0)
-	t.collectScratch = scratch[:0]
-	heap.Init(&h)
-	t.ssegQueueDepth = h.Len()
+	t.keySeq = uint64(t.compressions)*2654435761 + 1
+	t.collectVictims()
+	h := &t.victims
+	h.init()
+	t.ssegQueueDepth = len(*h)
 
 	needFree := int(t.cfg.Gamma * float64(t.cfg.MemoryLimit))
 	if needFree < t.cfg.NodeBytes {
 		needFree = t.cfg.NodeBytes // always make progress
 	}
 	freed := 0
-	for h.Len() > 0 {
+	for len(*h) > 0 {
 		if freed >= needFree && t.MemoryUsed() <= t.cfg.MemoryLimit {
 			break
 		}
-		it := heap.Pop(&h).(heapItem)
+		it := h.pop()
 		leaf := it.ref
 		parent := t.a.nodes[leaf].parent
 		// Unlink. The parent's span holds the only reference to the leaf.
@@ -135,12 +212,16 @@ func (t *Tree) compress() {
 		t.removedNodes++
 		freed += t.cfg.NodeBytes
 		if parent != 0 && t.a.isLeaf(parent) {
-			heap.Push(&h, heapItem{ref: parent, sseg: key(parent)})
+			h.push(heapItem{ref: parent, sseg: t.victimKey(parent)})
 		}
 	}
 
-	// Stable compaction: squeeze the dead slots out of the arena and drop
-	// the kids-slice garbage, so slot order keeps equalling creation order.
+	// Stable compaction: squeeze the dead slots out of the arena, so slot
+	// order keeps equalling creation order. The kids garbage the removals
+	// left follows the arena's one reclamation rule.
 	t.a.compactNodes()
-	t.a.compactKids()
+	t.a.compactKidsIfSparse()
+	if cap(t.victims) > maxRetainedVictims {
+		t.victims = nil
+	}
 }

@@ -199,9 +199,12 @@ type Tree struct {
 	compressTime    time.Duration
 	childCapacity   uint32 // 2^d
 
-	// collectScratch is the reusable creation-order buffer of the
-	// compression pass's victim collection (see compress).
-	collectScratch []kidRef
+	// Compression-pass scratch: the victim heap, reused across passes
+	// while small (see maxRetainedVictims) so a warm tree compresses
+	// without allocating, and CompressRandom's key stream (reseeded every
+	// pass).
+	victims leafHeap
+	keySeq  uint64
 
 	tel *treeTelemetry // nil unless Instrument was called
 }
@@ -280,11 +283,14 @@ func (t *Tree) Insert(p geom.Point, value float64) error {
 	if math.IsNaN(value) || math.IsInf(value, 0) {
 		return fmt.Errorf("quadtree: cost value must be finite, got %g", value)
 	}
-	p = t.cfg.Region.Clamp(p)
+	var pbuf, lobuf, hibuf [scratchDims]float64
+	cp, lo, hi := scratch(len(p), &pbuf, &lobuf, &hibuf)
+	p = t.cfg.Region.ClampInto(cp, p)
+	copy(lo, t.cfg.Region.Lo)
+	copy(hi, t.cfg.Region.Hi)
 
 	th := t.Threshold()
 	cn := int32(0)
-	region := t.cfg.Region
 	t.a.add(cn, value)
 	deferred := false
 	for depth := 0; depth < t.cfg.MaxDepth; depth++ {
@@ -294,13 +300,12 @@ func (t *Tree) Insert(p geom.Point, value float64) error {
 			deferred = true
 			break
 		}
-		idx := region.ChildIndex(p)
+		idx := narrow(p, lo, hi)
 		child := t.a.child(cn, idx)
 		if child < 0 {
 			child = t.a.addChild(cn, idx)
 			t.nodeCount++
 		}
-		region = region.Child(idx)
 		cn = child
 		t.a.add(cn, value)
 	}
@@ -313,11 +318,10 @@ func (t *Tree) Insert(p geom.Point, value float64) error {
 
 	if t.MemoryUsed() > t.cfg.MemoryLimit {
 		t.compress()
-	} else if t.a.kidGarbage > len(t.a.kids)/2 && t.a.kidGarbage > 64 {
-		// Span relocations leave holes in the kids slice; when trees run
-		// under their memory limit for long stretches no compression pass
-		// comes along to compact them, so bound the garbage here.
-		t.a.compactKids()
+	} else {
+		// Trees that run under their limit for long stretches see no
+		// compression pass, yet span relocations still leave kids garbage.
+		t.a.compactKidsIfSparse()
 	}
 	if t.tel != nil {
 		t.tel.publish(t)
@@ -379,25 +383,52 @@ func (t *Tree) PredictDepth(p geom.Point, beta int) (value float64, depth int, o
 // The prediction algorithms take the arena and config explicitly so that
 // Tree and the immutable Snapshot share one implementation of the hot path.
 
+// scratchDims is how many dimensions the descent paths keep their clamped
+// point and block bounds for on the stack; wider trees (up to the 20
+// dimensions Config allows) fall back to heap buffers.
+const scratchDims = 8
+
+// scratch returns the clamped-point, lower-bound and upper-bound buffers of
+// a d-dimensional descent: the given stack arrays when d fits, else fresh
+// slices.
+func scratch(d int, p, lo, hi *[scratchDims]float64) (cp geom.Point, l, h []float64) {
+	if d <= scratchDims {
+		return p[:d], lo[:d], hi[:d]
+	}
+	return make(geom.Point, d), make([]float64, d), make([]float64, d)
+}
+
+// narrow returns the index of the child of block [lo, hi) that contains p
+// and narrows lo and hi to that child in place. The midpoint is the
+// expression geom.Rect.ChildIndex and Rect.Child evaluate, so Insert and
+// descend visit exactly the blocks those would.
+func narrow(p geom.Point, lo, hi []float64) uint32 {
+	var idx uint32
+	for i, v := range p {
+		mid := lo[i] + (hi[i]-lo[i])/2
+		if v >= mid {
+			idx |= 1 << uint(i)
+			lo[i] = mid
+		} else {
+			hi[i] = mid
+		}
+	}
+	return idx
+}
+
 // descend walks from the root to the deepest block containing p, returning
 // the lowest slot whose count is at least beta and its depth (Fig. 3's
 // search). This is the hot path every prediction pays, so it avoids the
 // conveniences the mutation paths use: the arena slices are hoisted into
 // locals, each node is loaded exactly once per level, the child binary
-// search is inlined over the shared kids slice, and the region bounds are
-// narrowed in scratch buffers instead of allocating a fresh Rect per level
-// with geom.Rect.Child. The midpoint arithmetic is the same expression
-// Rect.ChildIndex and Rect.Child evaluate, so the descent visits exactly
-// the slots the allocating version would.
+// search is inlined over the shared kids slice, and the point is clamped
+// and the region bounds narrowed (see narrow) in stack scratch buffers
+// instead of allocating a fresh Point and Rect per level.
 func descend(a *arena, region geom.Rect, p geom.Point, beta int) (best int32, bestDepth int) {
 	nodes, kids := a.nodes, a.kids
-	var lobuf, hibuf, midbuf [8]float64
-	var lo, hi, mids []float64
-	if n := len(region.Lo); n <= len(lobuf) {
-		lo, hi, mids = lobuf[:n], hibuf[:n], midbuf[:n]
-	} else {
-		lo, hi, mids = make([]float64, n), make([]float64, n), make([]float64, n)
-	}
+	var pbuf, lobuf, hibuf [scratchDims]float64
+	cp, lo, hi := scratch(len(region.Lo), &pbuf, &lobuf, &hibuf)
+	p = region.ClampInto(cp, p)
 	copy(lo, region.Lo)
 	copy(hi, region.Hi)
 	cn := int32(0)
@@ -406,14 +437,8 @@ func descend(a *arena, region geom.Rect, p geom.Point, beta int) (best int32, be
 		if nd.count >= int64(beta) {
 			best, bestDepth = cn, d
 		}
-		var idx uint32
-		for i, v := range p {
-			mid := lo[i] + (hi[i]-lo[i])/2
-			mids[i] = mid
-			if v >= mid {
-				idx |= 1 << uint(i)
-			}
-		}
+		// If the child does not exist the narrowed bounds are discarded.
+		idx := narrow(p, lo, hi)
 		l, h := nd.kidOff, nd.kidOff+nd.kidLen
 		for l < h {
 			m := (l + h) >> 1
@@ -425,13 +450,6 @@ func descend(a *arena, region geom.Rect, p geom.Point, beta int) (best int32, be
 		}
 		if l >= nd.kidOff+nd.kidLen || kids[l].idx != idx {
 			return best, bestDepth
-		}
-		for i := range mids {
-			if idx&(1<<uint(i)) != 0 {
-				lo[i] = mids[i]
-			} else {
-				hi[i] = mids[i]
-			}
 		}
 		cn = kids[l].ref
 	}
@@ -445,7 +463,7 @@ func predictBeta(a *arena, region geom.Rect, p geom.Point, beta int) (value floa
 	if beta < 1 {
 		beta = 1
 	}
-	best, _ := descend(a, region, region.Clamp(p), beta)
+	best, _ := descend(a, region, p, beta)
 	return finiteAvg(a, best)
 }
 
@@ -457,7 +475,7 @@ func predictEstimate(a *arena, region geom.Rect, p geom.Point, beta int) (Estima
 	if beta < 1 {
 		beta = 1
 	}
-	best, bestDepth := descend(a, region, region.Clamp(p), beta)
+	best, bestDepth := descend(a, region, p, beta)
 	var std float64
 	if a.nodes[best].count > 0 {
 		std = math.Sqrt(a.sse(best) / float64(a.nodes[best].count))
@@ -482,7 +500,7 @@ func predictDepth(a *arena, region geom.Rect, p geom.Point, beta int) (value flo
 	if beta < 1 {
 		beta = 1
 	}
-	best, bestDepth := descend(a, region, region.Clamp(p), beta)
+	best, bestDepth := descend(a, region, p, beta)
 	v, ok := finiteAvg(a, best)
 	return v, bestDepth, ok
 }

@@ -114,7 +114,9 @@ type ExecStats struct {
 	Wall time.Duration
 }
 
-// DB is a loaded spatial database.
+// DB is a loaded spatial database. It is not safe for concurrent use: the
+// buffer cache and the per-query scratch below belong to one caller at a
+// time.
 type DB struct {
 	cfg   Config
 	store *pagestore.Store
@@ -127,6 +129,14 @@ type DB struct {
 	grid      [][]pagestore.PageID // per cell: pages of object IDs
 	cellCount []int32              // per cell: number of IDs
 	idsPage   int                  // IDs per cell page
+
+	// Per-query scratch. seen[id] == epoch marks an object the running
+	// query already examined (an object overlapping several cells is
+	// listed in each), so starting a query is one increment, not a clear.
+	// cellBuf holds the IDs of the cell being scanned.
+	seen    []uint32
+	epoch   uint32
+	cellBuf []uint32
 }
 
 // Generate builds the clustered map, serializes objects and the grid index
@@ -213,6 +223,7 @@ func Generate(cfg Config) (*DB, error) {
 			}
 		}
 	}
+	db.seen = make([]uint32, len(db.objPages)*db.objPerPage)
 	db.grid = make([][]pagestore.PageID, g*g)
 	db.cellCount = make([]int32, g*g)
 	for idx, ids := range cells {
@@ -289,11 +300,12 @@ func (db *DB) object(id uint32, stats *ExecStats) (Object, error) {
 	}, nil
 }
 
-// cellIDs fetches the object IDs registered in grid cell (cx, cy).
+// cellIDs fetches the object IDs registered in grid cell (cx, cy). The
+// result aliases a buffer the next call overwrites.
 func (db *DB) cellIDs(cx, cy int, stats *ExecStats) ([]uint32, error) {
 	idx := cy*db.cfg.GridSize + cx
 	n := int(db.cellCount[idx])
-	out := make([]uint32, 0, n)
+	out := db.cellBuf[:0]
 	stats.CPU++
 	for _, pid := range db.grid[idx] {
 		data, err := db.cache.Get(pid)
@@ -308,7 +320,31 @@ func (db *DB) cellIDs(cx, cy int, stats *ExecStats) ([]uint32, error) {
 			out = append(out, binary.LittleEndian.Uint32(data[i*4:]))
 		}
 	}
+	db.cellBuf = out
 	return out, nil
+}
+
+// newQuery starts a fresh seen set: every object is unvisited again.
+func (db *DB) newQuery() {
+	db.epoch++
+	if db.epoch == 0 { // wrapped: stale stamps could collide, so clear
+		clear(db.seen)
+		db.epoch = 1
+	}
+}
+
+// firstVisit reports whether the running query sees object id for the
+// first time, and marks it seen. IDs past every object page are left to
+// object() to reject.
+func (db *DB) firstVisit(id uint32) bool {
+	if int(id) >= len(db.seen) {
+		return true
+	}
+	if db.seen[id] == db.epoch {
+		return false
+	}
+	db.seen[id] = db.epoch
+	return true
 }
 
 // run wraps a query body with IO metering and wall-clock timing.
@@ -329,7 +365,7 @@ func (db *DB) Window(wx, wy, ww, wh float64) ([]Object, ExecStats, error) {
 	stats, err := db.run(func(stats *ExecStats) error {
 		x0, y0 := db.cellOf(wx, wy)
 		x1, y1 := db.cellOf(wx+ww, wy+wh)
-		seen := make(map[uint32]bool)
+		db.newQuery()
 		for cy := y0; cy <= y1; cy++ {
 			for cx := x0; cx <= x1; cx++ {
 				ids, err := db.cellIDs(cx, cy, stats)
@@ -337,10 +373,9 @@ func (db *DB) Window(wx, wy, ww, wh float64) ([]Object, ExecStats, error) {
 					return err
 				}
 				for _, id := range ids {
-					if seen[id] {
+					if !db.firstVisit(id) {
 						continue
 					}
-					seen[id] = true
 					o, err := db.object(id, stats)
 					if err != nil {
 						return err
@@ -366,7 +401,7 @@ func (db *DB) Range(x, y, r float64) ([]Object, ExecStats, error) {
 		}
 		x0, y0 := db.cellOf(x-r, y-r)
 		x1, y1 := db.cellOf(x+r, y+r)
-		seen := make(map[uint32]bool)
+		db.newQuery()
 		for cy := y0; cy <= y1; cy++ {
 			for cx := x0; cx <= x1; cx++ {
 				ids, err := db.cellIDs(cx, cy, stats)
@@ -374,10 +409,9 @@ func (db *DB) Range(x, y, r float64) ([]Object, ExecStats, error) {
 					return err
 				}
 				for _, id := range ids {
-					if seen[id] {
+					if !db.firstVisit(id) {
 						continue
 					}
-					seen[id] = true
 					o, err := db.object(id, stats)
 					if err != nil {
 						return err
@@ -428,17 +462,16 @@ func (db *DB) KNN(x, y float64, k int) ([]Object, ExecStats, error) {
 		cw := db.cfg.Extent / float64(g)
 		cx, cy := db.cellOf(x, y)
 		var h knnHeap
-		seen := make(map[uint32]bool)
+		db.newQuery()
 		examine := func(gx, gy int) error {
 			ids, err := db.cellIDs(gx, gy, stats)
 			if err != nil {
 				return err
 			}
 			for _, id := range ids {
-				if seen[id] {
+				if !db.firstVisit(id) {
 					continue
 				}
-				seen[id] = true
 				o, err := db.object(id, stats)
 				if err != nil {
 					return err

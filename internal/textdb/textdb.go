@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"mlq/internal/buffercache"
@@ -22,7 +23,11 @@ import (
 )
 
 // Posting is one occurrence of a word: the document and the word position
-// within it.
+// within it. A word's posting list is sorted by (Doc, Pos) — Generate emits
+// documents in order and each document's words in order — so a document's
+// occurrences form one contiguous run. The searches rely on that: a run
+// is deduplicated by comparing neighbours, and proximity search merges the
+// lists by document with one cursor per word.
 type Posting struct {
 	Doc uint32
 	Pos uint32
@@ -81,7 +86,9 @@ type wordMeta struct {
 }
 
 // DB is a loaded text database: corpus statistics plus the on-page inverted
-// index, read through a buffer cache.
+// index, read through a buffer cache. It is not safe for concurrent use: the
+// buffer cache and the per-query scratch below belong to one caller at a
+// time.
 type DB struct {
 	cfg    Config
 	store  *pagestore.Store
@@ -89,6 +96,15 @@ type DB struct {
 	words  []wordMeta
 	nDocs  int
 	maxLen int // longest posting list, for sizing model spaces
+
+	// Per-query scratch for the counting searches, indexed by document:
+	// counts[d] is valid only while stamp[d] == epoch, so starting a query
+	// is one increment, not a clear. touched lists the documents stamped by
+	// the running query, in first-touch order.
+	counts  []int32
+	stamp   []uint32
+	epoch   uint32
+	touched []uint32
 }
 
 // ExecStats reports one UDF execution's measured costs.
@@ -129,7 +145,11 @@ func Generate(cfg Config) (*DB, error) {
 	// Step 1: synthesize documents, accumulating postings per word.
 	lists := make([][]Posting, cfg.VocabSize)
 	dfSeen := make([]uint32, cfg.VocabSize) // last doc counted, +1
-	db := &DB{cfg: cfg, store: store, cache: cache, nDocs: cfg.NumDocs}
+	db := &DB{
+		cfg: cfg, store: store, cache: cache, nDocs: cfg.NumDocs,
+		counts: make([]int32, cfg.NumDocs),
+		stamp:  make([]uint32, cfg.NumDocs),
+	}
 	db.words = make([]wordMeta, cfg.VocabSize)
 	for doc := 0; doc < cfg.NumDocs; doc++ {
 		length := cfg.MeanDocLen/2 + rng.Intn(cfg.MeanDocLen)
@@ -232,71 +252,103 @@ func (db *DB) run(body func(stats *ExecStats) error) (ExecStats, error) {
 	return stats, err
 }
 
+// newQuery starts a fresh count set: every document is untouched again.
+func (db *DB) newQuery() {
+	db.epoch++
+	if db.epoch == 0 { // wrapped: stale stamps could collide, so clear
+		clear(db.stamp)
+		db.epoch = 1
+	}
+	db.touched = db.touched[:0]
+}
+
+// touch stamps doc for the running query with a zero count, unless it is
+// already stamped.
+func (db *DB) touch(doc uint32) {
+	if db.stamp[doc] != db.epoch {
+		db.stamp[doc] = db.epoch
+		db.counts[doc] = 0
+		db.touched = append(db.touched, doc)
+	}
+}
+
 // SearchSimple returns the documents containing every one of the given
-// words (the paper's "simple" keyword search UDF).
+// words (the paper's "simple" keyword search UDF), in ascending ID order.
 func (db *DB) SearchSimple(words []int) ([]uint32, ExecStats, error) {
 	var docs []uint32
 	stats, err := db.run(func(stats *ExecStats) error {
 		if len(words) == 0 {
 			return nil
 		}
-		counts := make(map[uint32]int)
+		db.newQuery()
 		for i, w := range words {
 			list, err := db.Postings(w, stats)
 			if err != nil {
 				return err
 			}
-			seen := make(map[uint32]bool)
+			prev := int64(-1)
 			for _, p := range list {
-				if !seen[p.Doc] {
-					seen[p.Doc] = true
-					if counts[p.Doc] == i { // survived all previous words
-						counts[p.Doc]++
-					}
+				if int64(p.Doc) == prev {
+					continue // the rest of the doc's run
+				}
+				prev = int64(p.Doc)
+				// Only the first word's documents can survive, so only
+				// they are counted (and charged below).
+				if i == 0 {
+					db.touch(p.Doc)
+				} else if db.stamp[p.Doc] != db.epoch {
+					continue
+				}
+				if db.counts[p.Doc] == int32(i) { // survived all previous words
+					db.counts[p.Doc]++
 				}
 			}
 			stats.CPU += float64(len(list))
 		}
-		for doc, c := range counts {
-			if c == len(words) {
+		// touched is in the first word's posting order: ascending.
+		for _, doc := range db.touched {
+			if db.counts[doc] == int32(len(words)) {
 				docs = append(docs, doc)
 			}
 		}
-		stats.CPU += float64(len(counts))
+		stats.CPU += float64(len(db.touched))
 		return nil
 	})
 	return docs, stats, err
 }
 
 // SearchThreshold returns the documents containing at least minMatch of the
-// given words (the paper's "threshold" search UDF).
+// given words (the paper's "threshold" search UDF), in ascending ID order.
 func (db *DB) SearchThreshold(words []int, minMatch int) ([]uint32, ExecStats, error) {
 	var docs []uint32
 	stats, err := db.run(func(stats *ExecStats) error {
 		if minMatch < 1 {
 			minMatch = 1
 		}
-		counts := make(map[uint32]int)
+		db.newQuery()
 		for _, w := range words {
 			list, err := db.Postings(w, stats)
 			if err != nil {
 				return err
 			}
-			seen := make(map[uint32]bool)
+			prev := int64(-1)
 			for _, p := range list {
-				if !seen[p.Doc] {
-					seen[p.Doc] = true
-					counts[p.Doc]++
+				if int64(p.Doc) == prev {
+					continue // the rest of the doc's run
 				}
+				prev = int64(p.Doc)
+				db.touch(p.Doc)
+				db.counts[p.Doc]++
 			}
 			stats.CPU += float64(len(list))
 		}
-		for doc, c := range counts {
-			if c >= minMatch {
+		for _, doc := range db.touched {
+			if db.counts[doc] >= int32(minMatch) {
 				docs = append(docs, doc)
 			}
 		}
-		stats.CPU += float64(len(counts))
+		slices.Sort(docs)
+		stats.CPU += float64(len(db.touched))
 		return nil
 	})
 	return docs, stats, err
@@ -304,7 +356,7 @@ func (db *DB) SearchThreshold(words []int, minMatch int) ([]uint32, ExecStats, e
 
 // SearchProximity returns the documents in which all given words occur
 // within a window of the given width (inclusive span of positions; the
-// paper's "proximity" search UDF).
+// paper's "proximity" search UDF), in ascending ID order.
 func (db *DB) SearchProximity(words []int, window int) ([]uint32, ExecStats, error) {
 	var docs []uint32
 	stats, err := db.run(func(stats *ExecStats) error {
@@ -314,119 +366,77 @@ func (db *DB) SearchProximity(words []int, window int) ([]uint32, ExecStats, err
 		if window < 1 {
 			window = 1
 		}
-		// positions[doc][i] = sorted positions of words[i] in doc.
-		positions := make(map[uint32][][]uint32)
+		lists := make([][]Posting, len(words))
 		for i, w := range words {
 			list, err := db.Postings(w, stats)
 			if err != nil {
 				return err
 			}
-			for _, p := range list {
-				slot, ok := positions[p.Doc]
-				if !ok {
-					slot = make([][]uint32, len(words))
-					positions[p.Doc] = slot
-				}
-				slot[i] = append(slot[i], p.Pos) // postings are in position order
-			}
+			lists[i] = list
 			stats.CPU += float64(len(list))
 		}
-	candidates:
-		for doc, slot := range positions {
-			for _, ps := range slot {
-				if len(ps) == 0 {
-					continue candidates
+		// Merge the lists by document, one cursor per word. A document
+		// is a candidate when every list holds it; its positions are then
+		// one run per list (spans[i]), already in position order.
+		cur := make([]int, len(lists))
+		spans := make([][]Posting, len(lists))
+		for {
+			var doc uint32 // the largest head: no smaller doc is in every list
+			for i, l := range lists {
+				if cur[i] == len(l) {
+					return nil
 				}
+				doc = max(doc, l[cur[i]].Doc)
 			}
-			if ok, work := minSpanWithin(slot, uint32(window)); ok {
+			all := true
+			for i, l := range lists {
+				c := cur[i]
+				for c < len(l) && l[c].Doc < doc {
+					c++
+				}
+				cur[i] = c
+				if c == len(l) {
+					return nil
+				}
+				all = all && l[c].Doc == doc
+			}
+			if !all {
+				continue
+			}
+			for i, l := range lists {
+				end := cur[i]
+				for end < len(l) && l[end].Doc == doc {
+					end++
+				}
+				spans[i], cur[i] = l[cur[i]:end], end
+			}
+			ok, work := minSpanWithin(spans, uint32(window))
+			stats.CPU += work
+			if ok {
 				docs = append(docs, doc)
-				stats.CPU += work
-			} else {
-				stats.CPU += work
 			}
 		}
-		return nil
-	})
-	return docs, stats, err
-}
-
-// SearchPhrase returns the documents containing the given words as a
-// contiguous phrase (word i at position p+i for some p). It is the limiting
-// case of proximity search and exercises the positional index hardest.
-func (db *DB) SearchPhrase(words []int) ([]uint32, ExecStats, error) {
-	var docs []uint32
-	stats, err := db.run(func(stats *ExecStats) error {
-		if len(words) == 0 {
-			return nil
-		}
-		// positions[doc][i] = sorted positions of words[i] in doc.
-		positions := make(map[uint32][][]uint32)
-		for i, w := range words {
-			list, err := db.Postings(w, stats)
-			if err != nil {
-				return err
-			}
-			for _, p := range list {
-				slot, ok := positions[p.Doc]
-				if !ok {
-					slot = make([][]uint32, len(words))
-					positions[p.Doc] = slot
-				}
-				slot[i] = append(slot[i], p.Pos)
-			}
-			stats.CPU += float64(len(list))
-		}
-	candidates:
-		for doc, slot := range positions {
-			for _, ps := range slot {
-				if len(ps) == 0 {
-					continue candidates
-				}
-			}
-			// For each start position of word 0, check the arithmetic
-			// progression via binary search in the other lists.
-			for _, start := range slot[0] {
-				match := true
-				for i := 1; i < len(slot); i++ {
-					want := start + uint32(i)
-					ps := slot[i]
-					lo, hi := 0, len(ps)
-					for lo < hi {
-						mid := (lo + hi) / 2
-						if ps[mid] < want {
-							lo = mid + 1
-						} else {
-							hi = mid
-						}
-						stats.CPU++
-					}
-					if lo >= len(ps) || ps[lo] != want {
-						match = false
-						break
-					}
-				}
-				if match {
-					docs = append(docs, doc)
-					break
-				}
-			}
-		}
-		return nil
 	})
 	return docs, stats, err
 }
 
 // minSpanWithin reports whether some choice of one position per word fits in
-// a span <= window, using the classic k-way min-span sweep. It also returns
-// the number of comparisons performed, charged as CPU work.
-func minSpanWithin(slot [][]uint32, window uint32) (bool, float64) {
-	idx := make([]int, len(slot))
+// a span <= window, using the classic k-way min-span sweep over each word's
+// position-ordered postings in one document. It also returns the number of
+// comparisons performed, charged as CPU work.
+func minSpanWithin(slot [][]Posting, window uint32) (bool, float64) {
+	var idxBuf [8]int // one cursor per word, on the stack for short queries
+	idx := idxBuf[:]
+	if len(slot) > len(idx) {
+		idx = make([]int, len(slot))
+	}
+	idx = idx[:len(slot)]
 	var work float64
 	for {
 		lo, hi := uint32(1<<31), uint32(0)
 		loWord := 0
 		for w, ps := range slot {
-			p := ps[idx[w]]
+			p := ps[idx[w]].Pos
 			if p < lo {
 				lo, loWord = p, w
 			}
