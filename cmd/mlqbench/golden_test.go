@@ -11,16 +11,20 @@ import (
 // TestQuickFiguresMatchGolden pins the deterministic rows of the quick
 // Fig. 9 and Fig. 11 runs at seed 1 — every NAE cell, which moves if a
 // UDF's CPU or IO accounting, the buffer cache's hit/miss sequence or a
-// model's insert/compress behaviour changes by a single step. The golden
+// model's insert/compress behaviour changes by a single step — and of the
+// quick chaos, chaoslatency and memwall runs, whose fault rates,
+// severities, retry policy and memory-wall geometry are fixed constants
+// of the harness. chaosrepl and chaosnet are left out: their NAE and lag
+// columns vary from run to run. The golden
 // files are the runs' stdout with the wall-clock "[... completed in ...]"
 // line removed; regenerate one with
 //
 //	go run ./cmd/mlqbench -exp fig9 -quick -seed 1 2>/dev/null | grep -v 'completed in' > cmd/mlqbench/testdata/fig9_quick_seed1.golden
 func TestQuickFiguresMatchGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs two quick figures over the full substrates")
+		t.Skip("runs five quick experiments over the full substrates")
 	}
-	for _, exp := range []string{"fig9", "fig11"} {
+	for _, exp := range []string{"fig9", "fig11", "chaos", "chaoslatency", "memwall"} {
 		exp := exp
 		t.Run(exp, func(t *testing.T) {
 			t.Parallel()
