@@ -283,7 +283,7 @@ func run(exp string, seed int64, quick bool, queries, mem, trials int, reg *tele
 	}
 
 	if err := runExp("memwall", func() error {
-		rows, err := harness.MemWall(harness.MemWallConfig{}, synthOpts)
+		rows, err := harness.MemWall(synthOpts)
 		if err != nil {
 			return err
 		}
@@ -307,7 +307,7 @@ func run(exp string, seed int64, quick bool, queries, mem, trials int, reg *tele
 	if err := runExp("chaos", func() error {
 		// Chaos builds its own databases: its page-read fault hooks must
 		// never touch the stores the other experiments share.
-		rows, err := harness.Chaos(harness.ChaosConfig{}, realOpts)
+		rows, err := harness.Chaos(realOpts)
 		if err != nil {
 			return err
 		}
@@ -321,7 +321,7 @@ func run(exp string, seed int64, quick bool, queries, mem, trials int, reg *tele
 		// Like chaos, this experiment builds its own databases: the latency
 		// hooks and retry policies it installs must never touch the caches
 		// the other experiments share.
-		rows, err := harness.ChaosLatency(harness.ChaosLatencyConfig{}, realOpts)
+		rows, err := harness.ChaosLatency(realOpts)
 		if err != nil {
 			return err
 		}
@@ -335,7 +335,7 @@ func run(exp string, seed int64, quick bool, queries, mem, trials int, reg *tele
 		// The replication chaos experiment is self-contained: it builds its
 		// own replica groups, journals and checkpoints in a scratch dir and
 		// asserts byte-identical convergence internally.
-		rows, err := harness.ChaosRepl(harness.ChaosReplConfig{}, realOpts)
+		rows, err := harness.ChaosRepl(realOpts)
 		if err != nil {
 			return err
 		}
@@ -349,7 +349,7 @@ func run(exp string, seed int64, quick bool, queries, mem, trials int, reg *tele
 		// The same fault stories as chaosrepl, carried over real loopback
 		// sockets: reconnect/backoff, heartbeat liveness, CRC framing and the
 		// resumable snapshot bootstrap are load-bearing here.
-		rows, err := harness.ChaosNet(harness.ChaosNetConfig{}, realOpts)
+		rows, err := harness.ChaosNet(realOpts)
 		if err != nil {
 			return err
 		}

@@ -231,7 +231,7 @@ func (r *Recorder) Trigger(reason string) {
 	r.dumpMu.Lock()
 	r.dumpSeq++
 	seq := r.dumpSeq
-	write := r.dumpDir != "" && seq <= uint64(r.dumpMax)
+	write := r.dumpDir != "" && seq <= DefaultMaxDumps
 	r.dumpMu.Unlock()
 
 	r.Emit(SubHarness, KindTrigger, 0, seq, 0)

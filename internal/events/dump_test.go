@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -131,7 +132,7 @@ func TestDumpTruncatedTailKeepsPrefix(t *testing.T) {
 func TestTriggerWritesDecodableDump(t *testing.T) {
 	dir := t.TempDir()
 	clk := fakeClock()
-	r := New(Config{Clock: clk, RingSize: 32, DumpDir: dir, MaxDumps: 2, Seed: 7})
+	r := New(Config{Clock: clk, RingSize: 32, DumpDir: dir, Seed: 7})
 
 	cause := r.MintID()
 	mint := r.Now()
@@ -162,12 +163,23 @@ func TestTriggerWritesDecodableDump(t *testing.T) {
 		t.Fatalf("last event kind = %v, want trigger", evts[2].Kind)
 	}
 
-	// Budget: MaxDumps caps automatic files, triggers past it still count.
-	r.Trigger("again")
-	r.Trigger("past budget")
+	// Budget: DefaultMaxDumps caps automatic files, triggers past it still
+	// emit their events.
+	for i := 1; i <= DefaultMaxDumps; i++ {
+		r.Trigger(fmt.Sprintf("trigger %d", i+1))
+	}
 	files, _ = filepath.Glob(filepath.Join(dir, "blackbox-*.mlqbb"))
-	if len(files) != 2 {
-		t.Fatalf("dump files after budget = %d, want 2", len(files))
+	if len(files) != DefaultMaxDumps {
+		t.Fatalf("dump files after budget = %d, want %d", len(files), DefaultMaxDumps)
+	}
+	triggers := 0
+	for _, e := range r.Snapshot() {
+		if e.Kind == KindTrigger {
+			triggers++
+		}
+	}
+	if triggers != DefaultMaxDumps+1 {
+		t.Fatalf("trigger events = %d, want %d (one per Trigger, dumped or not)", triggers, DefaultMaxDumps+1)
 	}
 }
 

@@ -313,6 +313,7 @@ const DefaultRingSize = 1024
 
 // DefaultMaxDumps bounds automatic flight-recorder dumps per Recorder: a
 // fault storm (every censored row triggering) must not fill the disk.
+// Triggers past the bound still emit events; they just stop writing files.
 const DefaultMaxDumps = 8
 
 // Config assembles a Recorder. The zero value is usable: wall clock, seed 0,
@@ -330,9 +331,6 @@ type Config struct {
 	// (blackbox-NNN-<reason>.mlqbb) there. Empty disables automatic dumps;
 	// Trigger still emits its event and DumpTo still works.
 	DumpDir string
-	// MaxDumps bounds automatic dumps (default DefaultMaxDumps). Triggers
-	// past the bound still emit events; they just stop writing files.
-	MaxDumps int
 }
 
 // Recorder is the event spine: one ring per subsystem plus the causal-ID
@@ -348,7 +346,6 @@ type Recorder struct {
 
 	dumpMu   sync.Mutex // leaf lock: guards dump file IO and the dump counter
 	dumpDir  string
-	dumpMax  int
 	dumpSeq  uint64
 	dumpErrs atomic.Int64
 
@@ -363,14 +360,10 @@ func New(cfg Config) *Recorder {
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = DefaultRingSize
 	}
-	if cfg.MaxDumps <= 0 {
-		cfg.MaxDumps = DefaultMaxDumps
-	}
 	r := &Recorder{
 		clock:   cfg.Clock,
 		seed:    cfg.Seed,
 		dumpDir: cfg.DumpDir,
-		dumpMax: cfg.MaxDumps,
 	}
 	for i := range r.rings {
 		r.rings[i] = newRing(cfg.RingSize)

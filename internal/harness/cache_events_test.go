@@ -25,7 +25,7 @@ func TestChaosLatencyCacheEventsReachSpine(t *testing.T) {
 		t.Skip("builds the full substrates")
 	}
 	rec := events.New(events.Config{Seed: 1})
-	cells, err := ChaosLatency(ChaosLatencyConfig{Dir: t.TempDir()}, Options{Seed: 1, Queries: 400, Events: rec})
+	cells, err := ChaosLatency(Options{Seed: 1, Queries: 400, Events: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestChaosLatencyCacheEventsReachSpine(t *testing.T) {
 // spine.
 func TestMemWallCacheResizeReachesSpine(t *testing.T) {
 	rec := events.New(events.Config{Seed: 1})
-	if _, err := MemWall(MemWallConfig{}, Options{Seed: 1, Queries: 600, Events: rec}); err != nil {
+	if _, err := MemWall(Options{Seed: 1, Queries: 600, Events: rec}); err != nil {
 		t.Fatal(err)
 	}
 	if got := countCacheEvents(rec, events.KindResize); got == 0 {

@@ -25,47 +25,19 @@ import (
 // charge) shapes the observed IO costs.
 const chaosLatencyFaultScale = 0.002
 
-// ChaosLatencyConfig parameterizes the slow-disk resilience experiment.
-type ChaosLatencyConfig struct {
-	// Severities sweeps the injected disk degradation: every physical read
-	// is delayed severity clean-read service times (severity 10 = an 11x
-	// slower disk), and transient read faults fire at severity *
-	// chaosLatencyFaultScale so the retry policy earns its keep. Default
-	// {0, 1, 4, 10}. Severity 0 doubles as the transparency assertion: the
-	// full resilience layer (armed-but-idle injector, retry policy,
-	// Publisher, journal) must reproduce the plain feedback loop's NAE bit
-	// for bit.
-	Severities []float64
-	// Retry is the buffercache policy under test. The zero value means
-	// {MaxAttempts: 3, BaseDelay: DefaultUnitLatency, Multiplier: 2}.
-	Retry buffercache.RetryPolicy
-	// MaxNAEInflation bounds how much worse any severity's NAE may be than
-	// the fault-free cell's: the self-tuning models must absorb a slower
-	// disk, not diverge from it. Default 2.
-	MaxNAEInflation float64
-	// Dir is the scratch directory for observation journals. Empty means a
-	// fresh temp directory, removed afterwards.
-	Dir string
-}
+// chaosLatencySeverities sweeps the injected disk degradation: every
+// physical read is delayed severity clean-read service times (severity 10 =
+// an 11x slower disk), and transient read faults fire at severity *
+// chaosLatencyFaultScale so the retry policy earns its keep. The first, 0,
+// doubles as the transparency assertion: the full resilience layer
+// (armed-but-idle injector, retry policy, Publisher, journal) must reproduce
+// the plain feedback loop's NAE bit for bit.
+var chaosLatencySeverities = []float64{0, 1, 4, 10}
 
-func (c ChaosLatencyConfig) withDefaults() ChaosLatencyConfig {
-	if len(c.Severities) == 0 {
-		c.Severities = []float64{0, 1, 4, 10}
-	}
-	zero := buffercache.RetryPolicy{}
-	if c.Retry == zero {
-		c.Retry = buffercache.RetryPolicy{
-			MaxAttempts: 3,
-			BaseDelay:   buffercache.DefaultUnitLatency,
-			Multiplier:  2,
-		}
-	}
-	//lint:ignore floatguard unset-config sentinel: zero is exact, the field was never written
-	if c.MaxNAEInflation == 0 {
-		c.MaxNAEInflation = 2
-	}
-	return c
-}
+// chaosLatencyMaxNAEInflation bounds how much worse any severity's NAE may
+// be than the fault-free cell's: the self-tuning models must absorb a slower
+// disk, not diverge from it.
+const chaosLatencyMaxNAEInflation = 2
 
 // ChaosLatencyCell is one swept severity's outcome: IO-cost prediction
 // accuracy on a degraded disk, plus the resilience accounting that proves
@@ -106,36 +78,31 @@ type chaosLatencyState struct {
 // equivalence check — a fresh model fed the journal must be byte-identical
 // to the live one. It returns one cell per severity and errors if severity 0
 // is not bit-identical to a run with no resilience layer at all, if any
-// journal replay diverges, or if NAE inflates beyond MaxNAEInflation.
-func ChaosLatency(cfg ChaosLatencyConfig, opts Options) ([]ChaosLatencyCell, error) {
+// journal replay diverges, or if NAE inflates beyond
+// chaosLatencyMaxNAEInflation.
+func ChaosLatency(opts Options) ([]ChaosLatencyCell, error) {
 	opts = opts.withDefaults()
-	cfg = cfg.withDefaults()
 
-	dir := cfg.Dir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "mlq-chaoslatency-")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
+	dir, err := os.MkdirTemp("", "mlq-chaoslatency-")
+	if err != nil {
+		return nil, err
 	}
+	defer os.RemoveAll(dir)
 
 	// The reference run: the identical workload with no resilience layer —
 	// no injector, no retry policy, no Publisher, no journal.
-	baseline, err := runChaosLatencyCell(0, false, cfg, opts, filepath.Join(dir, "baseline"))
+	baseline, err := runChaosLatencyCell(0, false, opts, filepath.Join(dir, "baseline"))
 	if err != nil {
 		return nil, fmt.Errorf("chaoslatency: baseline: %w", err)
 	}
 
 	var cells []ChaosLatencyCell
-	for ci, sev := range cfg.Severities {
-		cell, err := runChaosLatencyCell(sev, true, cfg, opts, filepath.Join(dir, fmt.Sprintf("cell%d", ci)))
+	for ci, sev := range chaosLatencySeverities {
+		cell, err := runChaosLatencyCell(sev, true, opts, filepath.Join(dir, fmt.Sprintf("cell%d", ci)))
 		if err != nil {
 			return nil, fmt.Errorf("chaoslatency: severity %g: %w", sev, err)
 		}
-		//lint:ignore floatguard the severity grid uses literal 0 as the fault-free cell
-		if sev == 0 {
+		if ci == 0 {
 			// Transparency: retry policy installed, injector armed at zero,
 			// observations journaled through the Publisher — and not one
 			// bit of difference in accuracy.
@@ -158,18 +125,11 @@ func ChaosLatency(cfg ChaosLatencyConfig, opts Options) ([]ChaosLatencyCell, err
 	// Bounded inflation: a 10x slower disk must not wreck accuracy — the
 	// models observe the charged latency and re-tune to the degraded
 	// service times.
-	var base float64
-	for _, c := range cells {
-		//lint:ignore floatguard the severity grid uses literal 0 as the fault-free cell
-		if c.Severity == 0 {
-			base = c.NAE
-		}
-	}
-	if base > 0 {
+	if base := cells[0].NAE; base > 0 {
 		for _, c := range cells {
-			if c.NAE > cfg.MaxNAEInflation*base {
+			if c.NAE > chaosLatencyMaxNAEInflation*base {
 				return nil, fmt.Errorf("chaoslatency: severity %g NAE %.4f exceeds %gx the fault-free %.4f — self-tuning failed to absorb the slow disk",
-					c.Severity, c.NAE, cfg.MaxNAEInflation, base)
+					c.Severity, c.NAE, float64(chaosLatencyMaxNAEInflation), base)
 			}
 		}
 	}
@@ -179,7 +139,7 @@ func ChaosLatency(cfg ChaosLatencyConfig, opts Options) ([]ChaosLatencyCell, err
 // runChaosLatencyCell drives the feedback loop for both UDFs at one
 // severity. resilient=false runs the identical workload with the plain
 // (pre-resilience) loop for the transparency baseline.
-func runChaosLatencyCell(sev float64, resilient bool, cfg ChaosLatencyConfig, opts Options, dir string) (ChaosLatencyCell, error) {
+func runChaosLatencyCell(sev float64, resilient bool, opts Options, dir string) (ChaosLatencyCell, error) {
 	cell := ChaosLatencyCell{Severity: sev}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return cell, err
@@ -202,17 +162,19 @@ func runChaosLatencyCell(sev float64, resilient bool, cfg ChaosLatencyConfig, op
 	var inj *faults.Injector
 	if resilient {
 		inj = faults.New(opts.Seed + int64(sev*1e3) + 7919)
-		unit := cfg.Retry.UnitLatency
-		if unit <= 0 {
-			unit = buffercache.DefaultUnitLatency
-		}
 		inj.Enable(faults.PageLatency, faults.SiteConfig{
 			Probability: 1,
-			Delay:       time.Duration(sev * float64(unit)),
+			Delay:       time.Duration(sev * float64(buffercache.DefaultUnitLatency)),
 		})
 		inj.Enable(faults.PageRead, faults.SiteConfig{Probability: sev * chaosLatencyFaultScale})
 		for _, c := range caches {
-			c.SetRetryPolicy(cfg.Retry)
+			// Three attempts with doubling backoff from one clean-read
+			// service time; latency is charged at the default unit.
+			c.SetRetryPolicy(buffercache.RetryPolicy{
+				MaxAttempts: 3,
+				BaseDelay:   buffercache.DefaultUnitLatency,
+				Multiplier:  2,
+			})
 			c.SetEvents(opts.Events)
 			c.SetReadLatency(func(pagestore.PageID) time.Duration { return inj.PageReadDelay() })
 		}

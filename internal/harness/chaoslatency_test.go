@@ -17,15 +17,14 @@ func TestChaosLatencySmall(t *testing.T) {
 		t.Skip("builds the full substrates")
 	}
 	opts := Options{Seed: 1, Queries: 150}
-	cfg := ChaosLatencyConfig{Severities: []float64{0, 10}, Dir: t.TempDir()}
-	cells, err := ChaosLatency(cfg, opts)
+	cells, err := ChaosLatency(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != 2 {
-		t.Fatalf("got %d cells, want 2", len(cells))
+	if len(cells) != len(chaosLatencySeverities) {
+		t.Fatalf("got %d cells, want %d", len(cells), len(chaosLatencySeverities))
 	}
-	clean, slow := cells[0], cells[1]
+	clean, slow := cells[0], cells[len(cells)-1]
 	if clean.Severity != 0 || slow.Severity != 10 {
 		t.Fatalf("severities %g, %g", clean.Severity, slow.Severity)
 	}

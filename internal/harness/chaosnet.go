@@ -18,36 +18,19 @@ import (
 	"mlq/internal/telemetry"
 )
 
-// ChaosNetConfig parameterizes the networked replication chaos experiment:
-// the ChaosRepl fault stories re-run over real loopback sockets, plus a
-// mid-bootstrap-kill scenario for the resumable snapshot RPC.
-type ChaosNetConfig struct {
-	ChaosReplConfig
-	// HeartbeatEvery is the socket liveness probe cadence. Default 20ms —
-	// fast enough that a scenario's worth of chaos exercises the detector.
-	HeartbeatEvery time.Duration
-	// BarrierTimeout bounds how long a drain barrier may ride a socket
-	// before the watchdog delivers it locally. Default 300ms.
-	BarrierTimeout time.Duration
-	// ChunkBytes is the bootstrap chunk size. Default 1 KiB, small enough
-	// that the default workload's snapshot spans dozens of chunks and a
-	// mid-transfer kill always lands inside the stream.
-	ChunkBytes int
-}
-
-func (c ChaosNetConfig) withDefaults() ChaosNetConfig {
-	c.ChaosReplConfig = c.ChaosReplConfig.withDefaults()
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = 20 * time.Millisecond
-	}
-	if c.BarrierTimeout <= 0 {
-		c.BarrierTimeout = 300 * time.Millisecond
-	}
-	if c.ChunkBytes <= 0 {
-		c.ChunkBytes = 1 << 10
-	}
-	return c
-}
+// The socket plane's settings for the networked chaos scenarios.
+const (
+	// chaosNetHeartbeatEvery is the liveness probe cadence — fast enough
+	// that a scenario's worth of chaos exercises the detector.
+	chaosNetHeartbeatEvery = 20 * time.Millisecond
+	// chaosNetBarrierTimeout bounds how long a drain barrier may ride a
+	// socket before the watchdog delivers it locally.
+	chaosNetBarrierTimeout = 300 * time.Millisecond
+	// chaosNetChunkBytes is the bootstrap chunk size, small enough that the
+	// default workload's snapshot spans dozens of chunks and a mid-transfer
+	// kill always lands inside the stream.
+	chaosNetChunkBytes = 1 << 10
+)
 
 // ChaosNetCell is one networked scenario's outcome: the ChaosRepl
 // convergence accounting plus the socket layer's own counters.
@@ -69,43 +52,38 @@ type ChaosNetCell struct {
 // truncation and delay instead of record-level faults. A final
 // mid-bootstrap-kill scenario cuts the snapshot-shipping RPC partway
 // through and asserts the transfer resumes from the last verified chunk.
-func ChaosNet(cfg ChaosNetConfig, opts Options) ([]ChaosNetCell, error) {
+func ChaosNet(opts Options) ([]ChaosNetCell, error) {
 	opts = opts.withDefaults()
-	cfg = cfg.withDefaults()
 
-	dir := cfg.Dir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "mlq-chaosnet-")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
+	dir, err := os.MkdirTemp("", "mlq-chaosnet-")
+	if err != nil {
+		return nil, err
 	}
+	defer os.RemoveAll(dir)
 
 	region, err := geom.NewRect(geom.Point{0, 0}, geom.Point{100, 100})
 	if err != nil {
 		return nil, err
 	}
-	want, err := chaosReplReference(region, opts, cfg.ChaosReplConfig)
+	want, err := chaosReplReference(region, opts)
 	if err != nil {
 		return nil, fmt.Errorf("chaosnet: reference run: %w", err)
 	}
 
 	var cells []ChaosNetCell
-	for si, sc := range cfg.Scenarios {
+	for si, sc := range chaosScenarios {
 		var tr *nettransport.NetTransport
 		drv := chaosDriver{
 			injector: netChaosInjector,
 			transport: func(inj *faults.Injector, opts Options) replica.Transport {
-				tr = cfg.newTransport(inj, opts)
+				tr = newChaosNetTransport(inj, opts)
 				tr.Instrument(opts.Telemetry, telemetry.L("scenario", sc))
 				return tr
 			},
 			settle:              func(g *replica.Group) error { return settleLinks(tr, g) },
 			relaxCleanStaleness: true,
 		}
-		cell, err := runChaosScenarioDriver(sc, region, want, cfg.ChaosReplConfig, opts,
+		cell, err := runChaosScenarioDriver(sc, region, want, opts,
 			filepath.Join(dir, fmt.Sprintf("s%d", si)), drv)
 		if err != nil {
 			return nil, fmt.Errorf("chaosnet: scenario %s: %w", sc, err)
@@ -127,7 +105,7 @@ func ChaosNet(cfg ChaosNetConfig, opts Options) ([]ChaosNetCell, error) {
 		cells = append(cells, nc)
 	}
 
-	boot, err := runChaosNetBootstrap(region, cfg, opts, filepath.Join(dir, "boot"))
+	boot, err := runChaosNetBootstrap(region, opts, filepath.Join(dir, "boot"))
 	if err != nil {
 		return nil, fmt.Errorf("chaosnet: scenario mid-bootstrap-kill: %w", err)
 	}
@@ -178,16 +156,15 @@ func netChaosInjector(sc string, opts Options) *faults.Injector {
 	return inj
 }
 
-// newTransport builds the experiment's socket transport.
-func (cfg ChaosNetConfig) newTransport(inj *faults.Injector, opts Options) *nettransport.NetTransport {
+// newChaosNetTransport builds the experiment's socket transport.
+func newChaosNetTransport(inj *faults.Injector, opts Options) *nettransport.NetTransport {
 	return nettransport.New(nettransport.Config{
 		Injector:       inj,
 		Seed:           opts.Seed,
 		Events:         opts.Events,
-		QueueCapacity:  4096,
-		ChunkBytes:     cfg.ChunkBytes,
-		HeartbeatEvery: cfg.HeartbeatEvery,
-		BarrierTimeout: cfg.BarrierTimeout,
+		ChunkBytes:     chaosNetChunkBytes,
+		HeartbeatEvery: chaosNetHeartbeatEvery,
+		BarrierTimeout: chaosNetBarrierTimeout,
 		BackoffBase:    2 * time.Millisecond,
 		BackoffCap:     50 * time.Millisecond,
 	})
@@ -200,23 +177,23 @@ func (cfg ChaosNetConfig) newTransport(inj *faults.Injector, opts Options) *nett
 // scheduled to land mid-transfer. The transfer must resume from the last
 // verified chunk — not restart — and the received bytes must be exactly the
 // primary's durable state, replayable and loadable.
-func runChaosNetBootstrap(region geom.Rect, cfg ChaosNetConfig, opts Options, dir string) (ChaosNetCell, error) {
+func runChaosNetBootstrap(region geom.Rect, opts Options, dir string) (ChaosNetCell, error) {
 	cell := ChaosNetCell{ChaosReplCell: ChaosReplCell{Scenario: "mid-bootstrap-kill"}}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return cell, err
 	}
 
 	inj := faults.New(opts.Seed + 104729)
-	tr := cfg.newTransport(inj, opts)
+	tr := newChaosNetTransport(inj, opts)
 	tr.Instrument(opts.Telemetry, telemetry.L("scenario", "mid-bootstrap-kill"))
 	mlqCfg := opts.mlqConfig(MLQE, region)
 	g, err := replica.New(replica.Config{
-		Replicas:      cfg.Replicas,
+		Replicas:      chaosReplicas,
 		Dir:           dir,
 		NewModel:      func() (*core.MLQ, error) { return core.NewMLQ(mlqCfg) },
 		Transport:     tr,
-		MaxBatch:      cfg.MaxBatch,
-		InboxCapacity: cfg.InboxCapacity,
+		MaxBatch:      chaosMaxBatch,
+		InboxCapacity: chaosInboxCapacity,
 		Telemetry:     replica.NewGroupTelemetry(opts.Telemetry),
 		Events:        opts.Events,
 	})
@@ -263,7 +240,7 @@ func runChaosNetBootstrap(region geom.Rect, cfg ChaosNetConfig, opts Options, di
 	if err != nil {
 		return cell, err
 	}
-	chunks := (len(wantCkpt) + len(wantJnl) + cfg.ChunkBytes - 1) / cfg.ChunkBytes
+	chunks := (len(wantCkpt) + len(wantJnl) + chaosNetChunkBytes - 1) / chaosNetChunkBytes
 	if chunks < 2 {
 		return cell, fmt.Errorf("snapshot spans %d chunk(s); too small for a mid-transfer kill", chunks)
 	}

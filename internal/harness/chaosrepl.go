@@ -20,40 +20,20 @@ import (
 // (drop, duplicate, reorder) in the net-chaos scenario.
 const chaosReplNetFaultP = 0.05
 
-// ChaosReplConfig parameterizes the replication chaos experiment.
-type ChaosReplConfig struct {
-	// Replicas is the group size including the primary. Default 3.
-	Replicas int
-	// Scenarios selects which fault stories run. Default all four:
-	// clean, kill-primary, partition-heal, net-chaos.
-	Scenarios []string
-	// MaxBatch is the primary publisher's batch bound — and therefore the
-	// hard ceiling on acknowledged observations a failover may lose, which
-	// every scenario asserts. Default 16.
-	MaxBatch int
-	// InboxCapacity bounds follower stream inboxes; with MaxBatch it bounds
-	// the follower staleness the clean scenario asserts. Default 1024.
-	InboxCapacity int
-	// Dir is the scratch directory for journals and checkpoints. Empty
-	// means a fresh temp directory, removed afterwards.
-	Dir string
-}
+// The replicated fleet every chaos scenario runs: three replicas, one of
+// them the primary, and the four fault stories.
+const (
+	chaosReplicas = 3
+	// chaosMaxBatch is the primary publisher's batch bound — and therefore
+	// the hard ceiling on acknowledged observations a failover may lose,
+	// which every scenario asserts.
+	chaosMaxBatch = 16
+	// chaosInboxCapacity bounds follower stream inboxes; with chaosMaxBatch
+	// it bounds the follower staleness the clean scenario asserts.
+	chaosInboxCapacity = 1024
+)
 
-func (c ChaosReplConfig) withDefaults() ChaosReplConfig {
-	if c.Replicas <= 0 {
-		c.Replicas = 3
-	}
-	if len(c.Scenarios) == 0 {
-		c.Scenarios = []string{"clean", "kill-primary", "partition-heal", "net-chaos"}
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 16
-	}
-	if c.InboxCapacity <= 0 {
-		c.InboxCapacity = 1024
-	}
-	return c
-}
+var chaosScenarios = []string{"clean", "kill-primary", "partition-heal", "net-chaos"}
 
 // ChaosReplCell is one scenario's outcome: the replication accounting that
 // proves convergence was earned, not assumed.
@@ -90,23 +70,18 @@ func chaosReplCost(p geom.Point) float64 {
 //   - when no acknowledged observation was lost, bit-identity with a plain
 //     single-Publisher run of the same workload (the replication layer is
 //     transparent — the clean scenario's version of severity 0);
-//   - acknowledged loss bounded by one publisher batch (MaxBatch);
+//   - acknowledged loss bounded by one publisher batch (chaosMaxBatch);
 //   - zero follower lag after convergence, and mid-run staleness within
 //     the inbox + batch bound for reachable followers;
 //   - no divergence hazards (failed record applies) anywhere.
-func ChaosRepl(cfg ChaosReplConfig, opts Options) ([]ChaosReplCell, error) {
+func ChaosRepl(opts Options) ([]ChaosReplCell, error) {
 	opts = opts.withDefaults()
-	cfg = cfg.withDefaults()
 
-	dir := cfg.Dir
-	if dir == "" {
-		var err error
-		dir, err = os.MkdirTemp("", "mlq-chaosrepl-")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
+	dir, err := os.MkdirTemp("", "mlq-chaosrepl-")
+	if err != nil {
+		return nil, err
 	}
+	defer os.RemoveAll(dir)
 
 	region, err := geom.NewRect(geom.Point{0, 0}, geom.Point{100, 100})
 	if err != nil {
@@ -115,14 +90,14 @@ func ChaosRepl(cfg ChaosReplConfig, opts Options) ([]ChaosReplCell, error) {
 
 	// The transparency reference: the identical workload through one plain
 	// Publisher, no replication anywhere near it.
-	want, err := chaosReplReference(region, opts, cfg)
+	want, err := chaosReplReference(region, opts)
 	if err != nil {
 		return nil, fmt.Errorf("chaosrepl: reference run: %w", err)
 	}
 
 	var cells []ChaosReplCell
-	for si, sc := range cfg.Scenarios {
-		cell, err := runChaosReplScenario(sc, region, want, cfg, opts, filepath.Join(dir, fmt.Sprintf("s%d", si)))
+	for si, sc := range chaosScenarios {
+		cell, err := runChaosScenarioDriver(sc, region, want, opts, filepath.Join(dir, fmt.Sprintf("s%d", si)), memChaosDriver())
 		if err != nil {
 			return nil, fmt.Errorf("chaosrepl: scenario %s: %w", sc, err)
 		}
@@ -132,12 +107,12 @@ func ChaosRepl(cfg ChaosReplConfig, opts Options) ([]ChaosReplCell, error) {
 }
 
 // chaosReplReference serializes the single-Publisher ground truth.
-func chaosReplReference(region geom.Rect, opts Options, cfg ChaosReplConfig) ([]byte, error) {
+func chaosReplReference(region geom.Rect, opts Options) ([]byte, error) {
 	model, err := NewModel(MLQE, region, opts, nil)
 	if err != nil {
 		return nil, err
 	}
-	pub, err := core.NewPublisher(model.(*core.MLQ), core.PublisherConfig{MaxBatch: cfg.MaxBatch})
+	pub, err := core.NewPublisher(model.(*core.MLQ), core.PublisherConfig{MaxBatch: chaosMaxBatch})
 	if err != nil {
 		return nil, err
 	}
@@ -203,15 +178,9 @@ func memChaosDriver() chaosDriver {
 	}
 }
 
-// runChaosReplScenario drives one fault story end to end on the in-process
-// transport plane.
-func runChaosReplScenario(sc string, region geom.Rect, want []byte, cfg ChaosReplConfig, opts Options, dir string) (ChaosReplCell, error) {
-	return runChaosScenarioDriver(sc, region, want, cfg, opts, dir, memChaosDriver())
-}
-
 // runChaosScenarioDriver drives one fault story end to end over the plane
 // the driver supplies.
-func runChaosScenarioDriver(sc string, region geom.Rect, want []byte, cfg ChaosReplConfig, opts Options, dir string, drv chaosDriver) (ChaosReplCell, error) {
+func runChaosScenarioDriver(sc string, region geom.Rect, want []byte, opts Options, dir string, drv chaosDriver) (ChaosReplCell, error) {
 	cell := ChaosReplCell{Scenario: sc}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return cell, err
@@ -221,12 +190,12 @@ func runChaosScenarioDriver(sc string, region geom.Rect, want []byte, cfg ChaosR
 
 	mlqCfg := opts.mlqConfig(MLQE, region)
 	g, err := replica.New(replica.Config{
-		Replicas:      cfg.Replicas,
+		Replicas:      chaosReplicas,
 		Dir:           dir,
 		NewModel:      func() (*core.MLQ, error) { return core.NewMLQ(mlqCfg) },
 		Transport:     drv.transport(inj, opts),
-		MaxBatch:      cfg.MaxBatch,
-		InboxCapacity: cfg.InboxCapacity,
+		MaxBatch:      chaosMaxBatch,
+		InboxCapacity: chaosInboxCapacity,
 		Telemetry:     replica.NewGroupTelemetry(opts.Telemetry),
 		Events:        opts.Events,
 	})
@@ -251,7 +220,7 @@ func runChaosScenarioDriver(sc string, region geom.Rect, want []byte, cfg ChaosR
 	// Mark the scenario boundary on the spine: a dump decoded later shows
 	// which fault story the surrounding events belong to.
 	opts.Events.Emit(events.SubHarness, events.KindMark, 0, uint64(n), 0)
-	victim := fmt.Sprintf("r%d", cfg.Replicas-1)
+	victim := fmt.Sprintf("r%d", chaosReplicas-1)
 	var downed []string
 	sched := map[int]func() error{}
 	switch sc {
@@ -342,8 +311,8 @@ func runChaosScenarioDriver(sc string, region geom.Rect, want []byte, cfg ChaosR
 
 	// --- Assertions -----------------------------------------------------
 
-	if st.AckedLost > uint64(cfg.MaxBatch) {
-		return cell, fmt.Errorf("lost %d acknowledged observations, bound is one batch (%d)", st.AckedLost, cfg.MaxBatch)
+	if st.AckedLost > chaosMaxBatch {
+		return cell, fmt.Errorf("lost %d acknowledged observations, bound is one batch (%d)", st.AckedLost, chaosMaxBatch)
 	}
 	if errs := g.ApplyErrors(); len(errs) != 0 {
 		return cell, fmt.Errorf("divergence hazards recorded: %v", errs)
@@ -366,8 +335,8 @@ func runChaosScenarioDriver(sc string, region geom.Rect, want []byte, cfg ChaosR
 			return cell, fmt.Errorf("%s diverged after heal (%d vs %d bytes)", id, len(b), len(first))
 		}
 	}
-	if live != cfg.Replicas {
-		return cell, fmt.Errorf("%d of %d replicas serving after heal", live, cfg.Replicas)
+	if live != chaosReplicas {
+		return cell, fmt.Errorf("%d of %d replicas serving after heal", live, chaosReplicas)
 	}
 	if st.AckedLost == 0 {
 		if st.Acked != uint64(n) {
@@ -388,8 +357,8 @@ func runChaosScenarioDriver(sc string, region geom.Rect, want []byte, cfg ChaosR
 			return cell, fmt.Errorf("%s applied %d of %d acked after converge", rs.ID, rs.Applied, st.Acked)
 		}
 	}
-	if sc == "clean" && !drv.relaxCleanStaleness && cell.MaxLag > uint64(cfg.InboxCapacity+cfg.MaxBatch) {
-		return cell, fmt.Errorf("clean-run follower staleness %d exceeds inbox+batch bound %d", cell.MaxLag, cfg.InboxCapacity+cfg.MaxBatch)
+	if sc == "clean" && !drv.relaxCleanStaleness && cell.MaxLag > chaosInboxCapacity+chaosMaxBatch {
+		return cell, fmt.Errorf("clean-run follower staleness %d exceeds inbox+batch bound %d", cell.MaxLag, chaosInboxCapacity+chaosMaxBatch)
 	}
 
 	// Scenario-specific accounting.

@@ -30,16 +30,12 @@ type Config struct {
 	// MemTransport; pass one wired to a faults.Injector for chaos runs,
 	// or any other Transport implementation for out-of-process fabrics.
 	Transport Transport
-	// QueueCapacity and MaxBatch configure each term's Publisher (defaults
-	// as in core.PublisherConfig). MaxBatch also bounds the acknowledged
-	// observations a failover may lose, so chaos asserts against it.
-	QueueCapacity int
-	MaxBatch      int
+	// MaxBatch configures each term's Publisher (default as in
+	// core.PublisherConfig). It also bounds the acknowledged observations a
+	// failover may lose, so chaos asserts against it.
+	MaxBatch int
 	// InboxCapacity bounds each follower's stream inbox (default 4096).
 	InboxCapacity int
-	// FetchAttempts bounds consecutive failed journal catch-up fetches
-	// before a round gives up. Default 8.
-	FetchAttempts int
 	// Telemetry, when non-nil, receives the mlq_replica_* metrics.
 	Telemetry *GroupTelemetry
 	// Events, when non-nil, is the causal event spine shared by every
@@ -51,9 +47,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Replicas <= 0 {
 		c.Replicas = 1
-	}
-	if c.FetchAttempts <= 0 {
-		c.FetchAttempts = 8
 	}
 	return c
 }
@@ -189,10 +182,9 @@ func (g *Group) promoteLocked(id string, acked uint64) error {
 		return fmt.Errorf("replica: creating term %d journal: %w", term, err)
 	}
 	pub, err := core.NewPublisher(model, core.PublisherConfig{
-		QueueCapacity: g.cfg.QueueCapacity,
-		MaxBatch:      g.cfg.MaxBatch,
-		Journal:       jn,
-		Events:        g.ev,
+		MaxBatch: g.cfg.MaxBatch,
+		Journal:  jn,
+		Events:   g.ev,
 	})
 	if err != nil {
 		jn.Close()

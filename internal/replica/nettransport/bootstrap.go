@@ -77,7 +77,7 @@ type bootMeta struct {
 // or a fresh snapshot (full transfer), stream meta + chunks. The connection
 // dies with the transfer; resume means a new connection with the old token.
 func (t *NetTransport) serveBootstrap(ep *endpoint, conn net.Conn) {
-	_ = conn.SetReadDeadline(time.Now().Add(t.cfg.ReadIdleTimeout))
+	_ = conn.SetReadDeadline(time.Now().Add(t.cfg.readIdleTimeout()))
 	fr := &frameReader{r: conn}
 	p, err := fr.next()
 	if err != nil || len(p) != 13 || p[0] != fmBootstrapReq {
@@ -190,7 +190,7 @@ var errRestartBootstrap = fmt.Errorf("nettransport: bootstrap snapshot supersede
 // killed mid-transfer costs only the tail, the next attempt continues from
 // the last good chunk under the same token. A superseded snapshot
 // (bootErrCompacted) restarts as a full resync. Attempts are bounded by
-// BootstrapAttempts with the same capped backoff the stream dialer uses.
+// bootstrapAttempts with the same capped backoff the stream dialer uses.
 func (t *NetTransport) Bootstrap(from string) (*BootstrapResult, error) {
 	res := &BootstrapResult{}
 	var (
@@ -199,7 +199,7 @@ func (t *NetTransport) Bootstrap(from string) (*BootstrapResult, error) {
 		chunks  [][]byte
 		lastErr error
 	)
-	for attempt := 0; attempt < t.cfg.BootstrapAttempts; attempt++ {
+	for attempt := 0; attempt < bootstrapAttempts; attempt++ {
 		if t.isClosed() {
 			return nil, errClosed
 		}
@@ -240,7 +240,7 @@ func (t *NetTransport) Bootstrap(from string) (*BootstrapResult, error) {
 		return res, nil
 	}
 	return nil, fmt.Errorf("nettransport: bootstrap from %q failed after %d attempts: %w",
-		from, t.cfg.BootstrapAttempts, lastErr)
+		from, bootstrapAttempts, lastErr)
 }
 
 // bootstrapOnce runs one connection's worth of transfer, appending verified
@@ -250,7 +250,7 @@ func (t *NetTransport) bootstrapOnce(from string, token *uint64, meta **bootMeta
 	if err != nil {
 		return err
 	}
-	conn, err := net.DialTimeout("tcp", addr, t.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return err
 	}
@@ -267,7 +267,7 @@ func (t *NetTransport) bootstrapOnce(from string, token *uint64, meta **bootMeta
 	}
 	fr := &frameReader{r: conn}
 	next := func() ([]byte, error) {
-		_ = conn.SetReadDeadline(time.Now().Add(t.cfg.ReadIdleTimeout))
+		_ = conn.SetReadDeadline(time.Now().Add(t.cfg.readIdleTimeout()))
 		return fr.next()
 	}
 	p, err := next()

@@ -28,12 +28,11 @@ func patternBytes(n int, stride byte) []byte {
 func newBootstrapPair(t *testing.T, inj *faults.Injector, chunkBytes int) (*NetTransport, *memSource) {
 	t.Helper()
 	tr := New(Config{
-		Seed:              3,
-		Injector:          inj,
-		ChunkBytes:        chunkBytes,
-		BackoffBase:       time.Millisecond,
-		BackoffCap:        10 * time.Millisecond,
-		BootstrapAttempts: 8,
+		Seed:        3,
+		Injector:    inj,
+		ChunkBytes:  chunkBytes,
+		BackoffBase: time.Millisecond,
+		BackoffCap:  10 * time.Millisecond,
 	})
 	t.Cleanup(tr.Close)
 	tr.Register("primary", 64)
@@ -165,7 +164,7 @@ func TestBootstrapClientRestartsOnCompacted(t *testing.T) {
 }
 
 func TestBootstrapWithoutSourceRefused(t *testing.T) {
-	tr := New(Config{Seed: 3, BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond, BootstrapAttempts: 2})
+	tr := New(Config{Seed: 3, BackoffBase: time.Millisecond, BackoffCap: 2 * time.Millisecond})
 	defer tr.Close()
 	tr.Register("primary", 64)
 	_, err := tr.Bootstrap("primary")

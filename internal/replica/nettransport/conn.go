@@ -139,7 +139,7 @@ func (m *connMgr) dialOnce() (net.Conn, uint64, bool) {
 	addr, err := m.t.addrOf(m.dst)
 	if err == nil {
 		var conn net.Conn
-		conn, err = net.DialTimeout("tcp", addr, m.t.cfg.DialTimeout)
+		conn, err = net.DialTimeout("tcp", addr, dialTimeout)
 		if err == nil {
 			if perr := writePreamble(conn, purposeStream); perr == nil {
 				m.mu.Lock()
@@ -203,7 +203,7 @@ func (m *connMgr) writeLoop(conn net.Conn, gen uint64, dead chan struct{}, hbSeq
 }
 
 // ackReader consumes heartbeat acks under a per-read deadline. Each expired
-// window without any inbound frame is a miss; HeartbeatMiss consecutive
+// window without any inbound frame is a miss; heartbeatMiss consecutive
 // misses declare the link silently dead and close it (the writer's next
 // write fails and reconnect begins).
 func (m *connMgr) ackReader(conn net.Conn, dead chan struct{}) {
@@ -224,7 +224,7 @@ func (m *connMgr) ackReader(conn net.Conn, dead chan struct{}) {
 				misses++
 				m.t.heartbeatsMissed.Add(1)
 				m.lastMisses.Store(int64(misses))
-				if misses >= m.t.cfg.HeartbeatMiss {
+				if misses >= heartbeatMiss {
 					_ = conn.Close()
 					return
 				}
@@ -379,7 +379,7 @@ func (ep *endpoint) serveConn(conn net.Conn) {
 		case <-served:
 		}
 	}()
-	_ = conn.SetReadDeadline(time.Now().Add(ep.t.cfg.ReadIdleTimeout))
+	_ = conn.SetReadDeadline(time.Now().Add(ep.t.cfg.readIdleTimeout()))
 	purpose, err := readPreamble(conn)
 	if err != nil {
 		return
@@ -398,7 +398,7 @@ func (ep *endpoint) serveConn(conn net.Conn) {
 func (ep *endpoint) streamLoop(conn net.Conn) {
 	fr := &frameReader{r: conn}
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(ep.t.cfg.ReadIdleTimeout))
+		_ = conn.SetReadDeadline(time.Now().Add(ep.t.cfg.readIdleTimeout()))
 		p, err := fr.next()
 		if err == errDamagedFrame {
 			ep.t.frameDamaged()

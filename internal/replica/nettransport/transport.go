@@ -34,18 +34,9 @@ type Config struct {
 	QueueCapacity int
 	// ChunkBytes is the bootstrap chunk payload size. Default 32 KiB.
 	ChunkBytes int
-	// DialTimeout bounds one connection attempt. Default 500ms.
-	DialTimeout time.Duration
 	// HeartbeatEvery is the liveness probe cadence on an established
 	// connection. Default 100ms.
 	HeartbeatEvery time.Duration
-	// HeartbeatMiss is how many consecutive unanswered probe windows
-	// declare the connection dead. Default 3.
-	HeartbeatMiss int
-	// ReadIdleTimeout is the accept side's per-read deadline; a connection
-	// silent this long is torn down (the dialer re-establishes it).
-	// Default max(2s, 6×HeartbeatEvery).
-	ReadIdleTimeout time.Duration
 	// BarrierTimeout bounds how long a barrier may ride the socket before
 	// the watchdog delivers it locally (a damaged barrier frame must not
 	// wedge a failover). Default 2s.
@@ -55,10 +46,19 @@ type Config struct {
 	// jitter. Defaults 5ms / 500ms.
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
-	// BootstrapAttempts bounds a Bootstrap call's connection attempts
-	// (resumes included). Default 16.
-	BootstrapAttempts int
 }
+
+// Fixed connection-management limits.
+const (
+	// dialTimeout bounds one connection attempt.
+	dialTimeout = 500 * time.Millisecond
+	// heartbeatMiss is how many consecutive unanswered probe windows
+	// declare a connection dead.
+	heartbeatMiss = 3
+	// bootstrapAttempts bounds a Bootstrap call's connection attempts
+	// (resumes included).
+	bootstrapAttempts = 16
+)
 
 func (c Config) withDefaults() Config {
 	if c.Clock == nil {
@@ -70,20 +70,8 @@ func (c Config) withDefaults() Config {
 	if c.ChunkBytes <= 0 {
 		c.ChunkBytes = 32 << 10
 	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 500 * time.Millisecond
-	}
 	if c.HeartbeatEvery <= 0 {
 		c.HeartbeatEvery = 100 * time.Millisecond
-	}
-	if c.HeartbeatMiss <= 0 {
-		c.HeartbeatMiss = 3
-	}
-	if c.ReadIdleTimeout <= 0 {
-		c.ReadIdleTimeout = 6 * c.HeartbeatEvery
-		if c.ReadIdleTimeout < 2*time.Second {
-			c.ReadIdleTimeout = 2 * time.Second
-		}
 	}
 	if c.BarrierTimeout <= 0 {
 		c.BarrierTimeout = 2 * time.Second
@@ -94,10 +82,14 @@ func (c Config) withDefaults() Config {
 	if c.BackoffCap <= 0 {
 		c.BackoffCap = 500 * time.Millisecond
 	}
-	if c.BootstrapAttempts <= 0 {
-		c.BootstrapAttempts = 16
-	}
 	return c
+}
+
+// readIdleTimeout is the accept side's per-read deadline: a connection
+// silent this long is torn down (the dialer re-establishes it). It spans six
+// heartbeat windows, and never less than 2s.
+func (c Config) readIdleTimeout() time.Duration {
+	return max(2*time.Second, 6*c.HeartbeatEvery)
 }
 
 // NetTransport is replica.Transport over real TCP loopback sockets. Each

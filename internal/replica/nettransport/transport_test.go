@@ -45,7 +45,6 @@ func TestHeartbeatLivenessTearsDownDeafLink(t *testing.T) {
 	tr := New(Config{
 		Seed:           7,
 		HeartbeatEvery: 10 * time.Millisecond,
-		HeartbeatMiss:  2,
 	})
 	defer tr.Close()
 	tr.Register("a", 64)
@@ -83,7 +82,7 @@ func TestHeartbeatLivenessTearsDownDeafLink(t *testing.T) {
 // overflow), and the dialer's consecutive failures must surface through
 // Cut so a failover skips the unreachable peer.
 func TestDeadDestinationOverflowsAndCuts(t *testing.T) {
-	tr := New(Config{Seed: 7, QueueCapacity: 8, DialTimeout: 50 * time.Millisecond,
+	tr := New(Config{Seed: 7, QueueCapacity: 8,
 		BackoffBase: time.Millisecond, BackoffCap: 5 * time.Millisecond})
 	defer tr.Close()
 	tr.Register("a", 64)
@@ -115,7 +114,7 @@ func TestDeadDestinationOverflowsAndCuts(t *testing.T) {
 // queue and expects FlushHeld to return promptly with everything accounted:
 // after it, nothing may still be parked inside the transport.
 func TestFlushHeldDrainsDeadLinkAsCountedLosses(t *testing.T) {
-	tr := New(Config{Seed: 7, QueueCapacity: 64, DialTimeout: 50 * time.Millisecond,
+	tr := New(Config{Seed: 7, QueueCapacity: 64,
 		BackoffBase: time.Millisecond, BackoffCap: 5 * time.Millisecond})
 	defer tr.Close()
 	tr.Register("a", 64)
@@ -182,7 +181,7 @@ func TestBackoffCappedExponentialSeeded(t *testing.T) {
 // fake timers and only advances when the test advances time.
 func TestFakeClockDrivesReconnectMachinery(t *testing.T) {
 	clk := NewFakeClock()
-	tr := New(Config{Seed: 7, Clock: clk, DialTimeout: 20 * time.Millisecond,
+	tr := New(Config{Seed: 7, Clock: clk,
 		BackoffBase: 10 * time.Millisecond, BackoffCap: 100 * time.Millisecond})
 	defer tr.Close()
 	tr.Register("a", 64)
@@ -252,5 +251,20 @@ func TestChaosTruncDamagesFramesWithoutDesync(t *testing.T) {
 	<-done
 	if delivered < 1 {
 		t.Fatal("no records survived the chaos stream")
+	}
+}
+
+// TestReadIdleTimeoutSpansSixHeartbeats pins the accept side's idle
+// deadline: six heartbeat windows, floored at 2s so a fast probe cadence
+// never tears down a merely quiet link.
+func TestReadIdleTimeoutSpansSixHeartbeats(t *testing.T) {
+	for _, tc := range []struct{ every, want time.Duration }{
+		{0, 2 * time.Second}, // default 100ms cadence: the floor wins
+		{20 * time.Millisecond, 2 * time.Second},
+		{time.Second, 6 * time.Second},
+	} {
+		if got := (Config{HeartbeatEvery: tc.every}).withDefaults().readIdleTimeout(); got != tc.want {
+			t.Errorf("HeartbeatEvery %v: readIdleTimeout %v, want %v", tc.every, got, tc.want)
+		}
 	}
 }

@@ -60,7 +60,7 @@ var (
 	// flight and no lineage is serving.
 	ErrNoPrimary = fmt.Errorf("replica: no primary lineage is serving")
 	// ErrLagged reports a follower that could not be caught up to the
-	// primary's acknowledged sequence within the configured fetch budget.
+	// primary's acknowledged sequence within the fetch budget.
 	ErrLagged = fmt.Errorf("replica: follower could not catch up")
 )
 
@@ -135,7 +135,7 @@ type node struct {
 	dups      atomic.Int64 // stream records dropped as duplicates
 	fenced    atomic.Int64 // stream records dropped by term fencing
 	catchup   atomic.Int64 // records recovered via journal catch-up/resync
-	fetchFail atomic.Int64 // catch-up rounds abandoned after FetchAttempts
+	fetchFail atomic.Int64 // catch-up rounds abandoned after fetchAttempts
 
 	inbox    <-chan Msg
 	pumpDone chan struct{}
@@ -332,9 +332,13 @@ func (n *node) lagEpochsLocked() uint64 {
 	return n.primEpoch - n.watermark
 }
 
+// fetchAttempts bounds consecutive failed journal catch-up fetches before a
+// round gives up.
+const fetchAttempts = 8
+
 // catchUpOnce runs one bounded catch-up round against the primary journal:
 // it fetches forward from applied+1 while the gap persists, resetting its
-// attempt budget on progress and giving up after FetchAttempts consecutive
+// attempt budget on progress and giving up after fetchAttempts consecutive
 // failed fetches (a partition heals later; the next gap evidence or a
 // convergence barrier retries).
 func (n *node) catchUpOnce() {
@@ -376,7 +380,7 @@ func (n *node) catchUpOnce() {
 				continue
 			}
 		}
-		if attempt >= n.g.cfg.FetchAttempts {
+		if attempt >= fetchAttempts {
 			n.fetchFail.Add(1)
 			return
 		}
@@ -430,10 +434,10 @@ func (n *node) catchUpTo(target uint64, lin *lineage) error {
 				continue
 			}
 		}
-		if attempt >= n.g.cfg.FetchAttempts {
+		if attempt >= fetchAttempts {
 			n.fetchFail.Add(1)
 			return fmt.Errorf("%w: %s stuck at seq %d of %d after %d fetch attempts",
-				ErrLagged, n.id, applied, target, n.g.cfg.FetchAttempts)
+				ErrLagged, n.id, applied, target, fetchAttempts)
 		}
 	}
 }
