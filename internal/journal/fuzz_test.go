@@ -70,12 +70,9 @@ func FuzzReplay(f *testing.F) {
 
 // FuzzTailFollow feeds arbitrary bytes to the incremental tail decoder in
 // arbitrary fragmentation: it must never panic, and the records it emits
-// must be a prefix of what the batch Replay decoder recovers from the same
-// stream — truncated or duplicated frames and flipped bits cost records,
-// never correctness. (A prefix, not equality: Replay condemns an implausible
-// frame size as permanent damage, while the tail decoder must hold position
-// on it — mid-append, the same bytes are a frame whose header is still being
-// written.)
+// must be exactly what Replay recovers from the whole stream at once —
+// fragmentation never changes the decoded prefix, and truncated or
+// duplicated frames and flipped bits cost records, never correctness.
 func FuzzTailFollow(f *testing.F) {
 	j, err := Create(filepath.Join(f.TempDir(), "seed.journal"))
 	if err != nil {
@@ -133,8 +130,8 @@ func FuzzTailFollow(f *testing.F) {
 			}
 			return
 		}
-		if len(got) > len(want) {
-			t.Fatalf("tail decoder emitted %d records, Replay only %d", len(got), len(want))
+		if len(got) != len(want) {
+			t.Fatalf("tail decoder emitted %d records, Replay %d", len(got), len(want))
 		}
 		for i := range got {
 			if got[i].Value != want[i].Value && !(math.IsNaN(got[i].Value) && math.IsNaN(want[i].Value)) {

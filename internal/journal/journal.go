@@ -112,10 +112,10 @@ func Create(path string, opts ...Option) (*Journal, error) {
 		return nil, fmt.Errorf("journal: creating %s: %w", path, err)
 	}
 	j.f = f
-	if err := j.writeHeader(); err != nil {
+	if _, err := f.Write(header()); err != nil {
 		f.Close()
 		os.Remove(path)
-		return nil, err
+		return nil, fmt.Errorf("journal: writing header to %s: %w", path, err)
 	}
 	if err := syncDir(path); err != nil {
 		f.Close()
@@ -141,14 +141,12 @@ func syncDir(path string) error {
 	return nil
 }
 
-func (j *Journal) writeHeader() error {
-	var hdr [headerSize]byte
+// header returns the journal file header: magic then format version.
+func header() []byte {
+	hdr := make([]byte, headerSize)
 	binary.LittleEndian.PutUint32(hdr[0:4], magic)
 	binary.LittleEndian.PutUint32(hdr[4:8], version)
-	if _, err := j.f.Write(hdr[:]); err != nil {
-		return fmt.Errorf("journal: writing header: %w", err)
-	}
-	return nil
+	return hdr
 }
 
 // Append logs one observation. The frame is issued as a single write so a
@@ -212,10 +210,7 @@ func (j *Journal) Reset() error {
 	if err != nil {
 		return fmt.Errorf("journal: creating %s: %w", tmp, err)
 	}
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], magic)
-	binary.LittleEndian.PutUint32(hdr[4:8], version)
-	if _, err := f.Write(hdr[:]); err != nil {
+	if _, err := f.Write(header()); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("journal: writing header to %s: %w", tmp, err)
@@ -272,39 +267,18 @@ func Replay(r io.Reader) (recs []Record, truncated int64, err error) {
 	if len(data) < headerSize {
 		return nil, 0, fmt.Errorf("journal: stream too short for header (%d bytes)", len(data))
 	}
-	if m := binary.LittleEndian.Uint32(data[0:4]); m != magic {
-		return nil, 0, fmt.Errorf("journal: bad magic %#x", m)
-	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != version {
-		return nil, 0, fmt.Errorf("journal: unsupported version %d", v)
-	}
-	rest := data[headerSize:]
-	for len(rest) > 0 {
-		if len(rest) < 8 {
-			break // torn mid-frame-header
+	d := TailDecoder{buf: data}
+	for {
+		rec, err := d.Next()
+		if err == ErrNoRecord {
+			// Quiescent stream: no complete record left is the torn tail.
+			return recs, int64(d.Buffered()), nil
 		}
-		size := binary.LittleEndian.Uint32(rest[0:4])
-		sum := binary.LittleEndian.Uint32(rest[4:8])
-		if size < 1+8+8 || size > uint32(recordSize(MaxDims)-8) || int(size) > len(rest)-8 {
-			break // implausible or torn frame
+		if err != nil {
+			return nil, 0, err
 		}
-		payload := rest[8 : 8+size]
-		if crc32.ChecksumIEEE(payload) != sum {
-			break // flipped bit
-		}
-		dims := int(payload[0])
-		if dims == 0 || uint32(1+8*dims+8) != size {
-			break // frame passed CRC but describes an impossible record
-		}
-		rec := Record{Point: make([]float64, dims)}
-		for i := 0; i < dims; i++ {
-			rec.Point[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[1+8*i:]))
-		}
-		rec.Value = math.Float64frombits(binary.LittleEndian.Uint64(payload[1+8*dims:]))
 		recs = append(recs, rec)
-		rest = rest[8+size:]
 	}
-	return recs, int64(len(rest)), nil
 }
 
 // ReplayFile replays the journal at path. A missing file replays empty (no

@@ -28,9 +28,9 @@ var ErrNoRecord = fmt.Errorf("journal: no complete record at the tail")
 var ErrRotated = fmt.Errorf("journal: file was rotated by a checkpoint")
 
 // TailDecoder incrementally decodes the record stream of a journal,
-// byte-chunk by byte-chunk, with the same framing discipline as Replay: it
-// emits exactly the valid record prefix and never advances past a frame that
-// is incomplete or damaged. Feed it bytes in any fragmentation — it buffers
+// byte-chunk by byte-chunk: it emits exactly the valid record prefix and
+// never advances past a frame that is incomplete or damaged. It is the
+// journal's one record decoder — Replay feeds it a whole stream. Feed it bytes in any fragmentation — it buffers
 // the unconsumed tail. The zero value expects the stream to begin with the
 // journal header; a decoder for a headerless record stream is not provided
 // (a journal always has one).
