@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -83,32 +84,54 @@ func TestFig9GridSmall(t *testing.T) {
 	}
 }
 
+// TestFig10RealShape checks the paper's key Fig. 10 claim on the WIN
+// substrate: modeling overhead is a small fraction of real UDF execution
+// cost (PC ~0.02%, MUC <= 1.2% in the paper). Our simulated UDFs are faster
+// than Oracle's, so PC may reach 0.2 and MUC 0.5 of the UDF execution time.
+//
+// One run times only a few milliseconds of UDF work, so a single scheduler
+// stall inside a timed model section can swamp its ratio. The bounds
+// therefore apply to the median of fig10Runs runs of the identical seeded
+// workload: a stall has to land in most of them to move it.
 func TestFig10RealShape(t *testing.T) {
+	const fig10Runs = 5
 	_, spatial := testUDFs(t)
 	opts := realOpts()
 	opts.Queries = 600
-	rows, err := Fig10Real(spatial, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	for _, r := range rows {
-		if r.Workload != "WIN" {
-			t.Errorf("workload %q", r.Workload)
+	pc := map[Method][]float64{}
+	muc := map[Method][]float64{}
+	for i := 0; i < fig10Runs; i++ {
+		rows, err := Fig10Real(spatial, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.PC <= 0 || r.MUC <= 0 {
-			t.Errorf("%v: empty breakdown %+v", r.Method, r)
+		if len(rows) != 2 {
+			t.Fatalf("got %d rows", len(rows))
 		}
-		// The paper's key claim: modeling overhead is a small fraction
-		// of real UDF execution cost (PC ~0.02%, MUC <= 1.2%). Our
-		// simulated UDFs are faster than Oracle's, so allow PC up to 0.2
-		// and MUC up to 0.5 of the UDF execution time.
-		if r.PC > 0.2 || r.MUC > 0.5 {
-			t.Errorf("%v: overhead too high: %+v", r.Method, r)
+		for _, r := range rows {
+			if r.Workload != "WIN" {
+				t.Errorf("workload %q", r.Workload)
+			}
+			if r.PC <= 0 || r.MUC <= 0 {
+				t.Errorf("%v: empty breakdown %+v", r.Method, r)
+			}
+			pc[r.Method] = append(pc[r.Method], r.PC)
+			muc[r.Method] = append(muc[r.Method], r.MUC)
 		}
 	}
+	for m := range pc {
+		if p, u := median(pc[m]), median(muc[m]); p > 0.2 || u > 0.5 {
+			t.Errorf("%v: overhead too high: median PC %.3f of %v, median MUC %.3f of %v",
+				m, p, pc[m], u, muc[m])
+		}
+	}
+}
+
+// median returns the middle value of an odd-length sample.
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return s[len(s)/2]
 }
 
 func TestFig11aGridSmall(t *testing.T) {
