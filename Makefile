@@ -1,7 +1,7 @@
 # Convenience targets for the MLQ reproduction.
 GO ?= go
 
-.PHONY: all build vet test race race-full bench bench-smoke bench-concurrency memwall repro repro-quick fuzz chaos chaos-latency chaos-repl chaos-net clean fmt lint lint-concurrency lint-sarif check
+.PHONY: all build vet test race race-full bench bench-smoke bench-concurrency memwall repro repro-quick fuzz chaos chaos-latency chaos-repl chaos-net clean fmt lint lint-concurrency lint-sarif check loc
 
 all: build vet test
 
@@ -108,7 +108,8 @@ chaos-latency:
 
 # Replication chaos: kill primaries mid-stream, partition and heal followers,
 # then assert zero acked loss beyond one batch and byte-identical convergence
-# across the whole replica fleet. Deterministic — seeded faults, no clocks.
+# across the whole replica fleet. The faults are seeded and the convergence
+# assertions deterministic; the NAE and lag columns vary from run to run.
 chaos-repl:
 	$(GO) run ./cmd/mlqbench -exp chaosrepl -quick
 	$(GO) test -race ./internal/replica/
@@ -122,6 +123,11 @@ chaos-net:
 	$(GO) run ./cmd/mlqbench -exp chaosnet -quick
 	$(GO) test -race ./internal/replica/...
 	$(GO) test -fuzz '^FuzzWireDecode$$' -fuzztime 10s ./internal/replica/nettransport
+
+# Non-test Go source lines, leaving out the benchmark (perfbench/) and test
+# fixtures (testdata/): the size figure each change reports its delta in.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l
 
 clean:
 	$(GO) clean ./...

@@ -37,7 +37,7 @@ var chaosLatencySeverities = []float64{0, 1, 4, 10}
 // chaosLatencyMaxNAEInflation bounds how much worse any severity's NAE may
 // be than the fault-free cell's: the self-tuning models must absorb a slower
 // disk, not diverge from it.
-const chaosLatencyMaxNAEInflation = 2
+const chaosLatencyMaxNAEInflation = 2.0
 
 // ChaosLatencyCell is one swept severity's outcome: IO-cost prediction
 // accuracy on a degraded disk, plus the resilience accounting that proves
@@ -129,7 +129,7 @@ func ChaosLatency(opts Options) ([]ChaosLatencyCell, error) {
 		for _, c := range cells {
 			if c.NAE > chaosLatencyMaxNAEInflation*base {
 				return nil, fmt.Errorf("chaoslatency: severity %g NAE %.4f exceeds %gx the fault-free %.4f — self-tuning failed to absorb the slow disk",
-					c.Severity, c.NAE, float64(chaosLatencyMaxNAEInflation), base)
+					c.Severity, c.NAE, chaosLatencyMaxNAEInflation, base)
 			}
 		}
 	}
@@ -168,8 +168,8 @@ func runChaosLatencyCell(sev float64, resilient bool, opts Options, dir string) 
 		})
 		inj.Enable(faults.PageRead, faults.SiteConfig{Probability: sev * chaosLatencyFaultScale})
 		for _, c := range caches {
-			// Three attempts with doubling backoff from one clean-read
-			// service time; latency is charged at the default unit.
+			// UnitLatency stays zero, so charges use DefaultUnitLatency:
+			// the same unit the injected delays above are scaled by.
 			c.SetRetryPolicy(buffercache.RetryPolicy{
 				MaxAttempts: 3,
 				BaseDelay:   buffercache.DefaultUnitLatency,
