@@ -9,22 +9,26 @@ import (
 )
 
 // TestQuickFiguresMatchGolden pins the deterministic rows of the quick
-// Fig. 9 and Fig. 11 runs at seed 1 — every NAE cell, which moves if a
-// UDF's CPU or IO accounting, the buffer cache's hit/miss sequence or a
-// model's insert/compress behaviour changes by a single step — and of the
-// quick chaos, chaoslatency and memwall runs, whose fault rates,
-// severities, retry policy and memory-wall geometry are fixed constants
-// of the harness. chaosrepl and chaosnet are left out: their NAE and lag
-// columns vary from run to run. The golden
-// files are the runs' stdout with the wall-clock "[... completed in ...]"
-// line removed; regenerate one with
+// runs at seed 1. Fig. 8, Fig. 9, Fig. 11, Fig. 12, shift, memcurve,
+// cache, leo and ablate print only NAE, memory and count cells, which move
+// if a UDF's CPU or IO accounting, the buffer cache's hit/miss sequence or
+// a model's insert/compress behaviour changes by a single step. chaos,
+// chaoslatency and memwall add fault rates, severities, retry policy and
+// memory-wall geometry, all fixed constants of the harness. nn, fig10 and
+// concurrency are left out because they print wall-clock columns;
+// chaosrepl and chaosnet because their NAE and lag columns vary from run
+// to run. The golden files are the runs' stdout with the wall-clock
+// "[... completed in ...]" line removed; regenerate one with
 //
 //	go run ./cmd/mlqbench -exp fig9 -quick -seed 1 2>/dev/null | grep -v 'completed in' > cmd/mlqbench/testdata/fig9_quick_seed1.golden
 func TestQuickFiguresMatchGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs five quick experiments over the full substrates")
+		t.Skip("runs twelve quick experiments over the full substrates")
 	}
-	for _, exp := range []string{"fig9", "fig11", "chaos", "chaoslatency", "memwall"} {
+	for _, exp := range []string{
+		"fig8", "fig9", "fig11", "fig12", "shift", "memcurve", "cache", "leo", "ablate",
+		"chaos", "chaoslatency", "memwall",
+	} {
 		exp := exp
 		t.Run(exp, func(t *testing.T) {
 			t.Parallel()
