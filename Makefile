@@ -45,8 +45,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The nightly full-repo race sweep: every package under the race detector
-# with a hard timeout, not just the replica/telemetry subset PR CI runs.
+# The nightly full-repo race sweep: `make race` with a hard timeout.
 race-full:
 	$(GO) test -race -timeout 10m ./...
 
