@@ -8,14 +8,10 @@ import (
 	"time"
 
 	"mlq/internal/catalog"
-	"mlq/internal/core"
-	"mlq/internal/dist"
 	"mlq/internal/faults"
-	"mlq/internal/geom"
 	"mlq/internal/journal"
 	"mlq/internal/replica"
 	"mlq/internal/replica/nettransport"
-	"mlq/internal/telemetry"
 )
 
 // The socket plane's settings for the networked chaos scenarios.
@@ -32,17 +28,6 @@ const (
 	chaosNetChunkBytes = 1 << 10
 )
 
-// ChaosNetCell is one networked scenario's outcome: the ChaosRepl
-// convergence accounting plus the socket layer's own counters.
-type ChaosNetCell struct {
-	ChaosReplCell
-	Reconnects       int64
-	HeartbeatsMissed int64
-	FramesDamaged    int64
-	BootstrapChunks  int64
-	BootstrapResumes int64
-}
-
 // ChaosNet runs the replicated-fleet chaos suite over real TCP loopback
 // sockets: the same kill-primary, partition-heal and chaos scenarios as
 // ChaosRepl (same assertions: acked loss bounded by one batch,
@@ -52,64 +37,8 @@ type ChaosNetCell struct {
 // truncation and delay instead of record-level faults. A final
 // mid-bootstrap-kill scenario cuts the snapshot-shipping RPC partway
 // through and asserts the transfer resumes from the last verified chunk.
-func ChaosNet(opts Options) ([]ChaosNetCell, error) {
-	opts = opts.withDefaults()
-
-	dir, err := os.MkdirTemp("", "mlq-chaosnet-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-
-	region, err := geom.NewRect(geom.Point{0, 0}, geom.Point{100, 100})
-	if err != nil {
-		return nil, err
-	}
-	want, err := chaosReplReference(region, opts)
-	if err != nil {
-		return nil, fmt.Errorf("chaosnet: reference run: %w", err)
-	}
-
-	var cells []ChaosNetCell
-	for si, sc := range chaosScenarios {
-		var tr *nettransport.NetTransport
-		drv := chaosDriver{
-			injector: netChaosInjector,
-			transport: func(inj *faults.Injector, opts Options) replica.Transport {
-				tr = newChaosNetTransport(inj, opts)
-				tr.Instrument(opts.Telemetry, telemetry.L("scenario", sc))
-				return tr
-			},
-			settle:              func(g *replica.Group) error { return settleLinks(tr, g) },
-			relaxCleanStaleness: true,
-		}
-		cell, err := runChaosScenarioDriver(sc, region, want, opts,
-			filepath.Join(dir, fmt.Sprintf("s%d", si)), drv)
-		if err != nil {
-			return nil, fmt.Errorf("chaosnet: scenario %s: %w", sc, err)
-		}
-		nc := ChaosNetCell{ChaosReplCell: cell}
-		if tr != nil {
-			nc.fillNetStats(tr.NetStats())
-		}
-		switch sc {
-		case "partition-heal":
-			if nc.Reconnects == 0 {
-				return nil, fmt.Errorf("chaosnet: %s: healed link never re-dialed", sc)
-			}
-		case "net-chaos":
-			if nc.Reconnects == 0 {
-				return nil, fmt.Errorf("chaosnet: %s: socket chaos produced no reconnects", sc)
-			}
-		}
-		cells = append(cells, nc)
-	}
-
-	boot, err := runChaosNetBootstrap(region, opts, filepath.Join(dir, "boot"))
-	if err != nil {
-		return nil, fmt.Errorf("chaosnet: scenario mid-bootstrap-kill: %w", err)
-	}
-	return append(cells, boot), nil
+func ChaosNet(opts Options) ([]ChaosReplCell, error) {
+	return runChaosPlane(netPlane, opts)
 }
 
 // settleLinks waits for the primary's stream connections to every follower
@@ -133,169 +62,78 @@ func settleLinks(tr *nettransport.NetTransport, g *replica.Group) error {
 	return nil
 }
 
-func (c *ChaosNetCell) fillNetStats(ns nettransport.NetStats) {
-	c.Reconnects = ns.Reconnects
-	c.HeartbeatsMissed = ns.HeartbeatsMissed
-	c.FramesDamaged = ns.FramesDamaged
-	c.BootstrapChunks = ns.BootstrapChunks
-	c.BootstrapResumes = ns.BootstrapResumes
-}
-
-// netChaosInjector builds the socket-level fault plane: connection resets,
-// byte-level truncation/corruption, and read-delay bursts, all seeded. Only
-// the net-chaos scenario gets faults; the other stories run over clean
-// sockets (their chaos is administrative: kills and partitions).
-func netChaosInjector(sc string, opts Options) *faults.Injector {
-	if sc != "net-chaos" {
-		return nil
-	}
-	inj := faults.New(opts.Seed + 7919)
-	inj.Enable(faults.NetReset, faults.SiteConfig{Probability: 0.0015})
-	inj.Enable(faults.NetTrunc, faults.SiteConfig{Probability: 0.004})
-	inj.Enable(faults.NetDelay, faults.SiteConfig{Probability: 0.01, Delay: 200 * time.Microsecond, Burst: 4})
-	return inj
-}
-
-// newChaosNetTransport builds the experiment's socket transport.
-func newChaosNetTransport(inj *faults.Injector, opts Options) *nettransport.NetTransport {
-	return nettransport.New(nettransport.Config{
-		Injector:       inj,
-		Seed:           opts.Seed,
-		Events:         opts.Events,
-		ChunkBytes:     chaosNetChunkBytes,
-		HeartbeatEvery: chaosNetHeartbeatEvery,
-		BarrierTimeout: chaosNetBarrierTimeout,
-		BackoffBase:    2 * time.Millisecond,
-		BackoffCap:     50 * time.Millisecond,
-	})
-}
-
-// runChaosNetBootstrap is the mid-bootstrap-kill scenario: build a fleet
-// over sockets, run the workload with a mid-run checkpoint (so the durable
-// snapshot has both a catalog checkpoint and a journal suffix), then pull
+// bootstrapKill is the bootstrap-kill step, run on a converged fleet: pull
 // the primary's snapshot over the bootstrap RPC with a connection reset
 // scheduled to land mid-transfer. The transfer must resume from the last
 // verified chunk — not restart — and the received bytes must be exactly the
-// primary's durable state, replayable and loadable.
-func runChaosNetBootstrap(region geom.Rect, opts Options, dir string) (ChaosNetCell, error) {
-	cell := ChaosNetCell{ChaosReplCell: ChaosReplCell{Scenario: "mid-bootstrap-kill"}}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return cell, err
-	}
-
-	inj := faults.New(opts.Seed + 104729)
-	tr := newChaosNetTransport(inj, opts)
-	tr.Instrument(opts.Telemetry, telemetry.L("scenario", "mid-bootstrap-kill"))
-	mlqCfg := opts.mlqConfig(MLQE, region)
-	g, err := replica.New(replica.Config{
-		Replicas:      chaosReplicas,
-		Dir:           dir,
-		NewModel:      func() (*core.MLQ, error) { return core.NewMLQ(mlqCfg) },
-		Transport:     tr,
-		MaxBatch:      chaosMaxBatch,
-		InboxCapacity: chaosInboxCapacity,
-		Telemetry:     replica.NewGroupTelemetry(opts.Telemetry),
-		Events:        opts.Events,
-	})
-	if err != nil {
-		return cell, err
-	}
-	defer g.Close()
-
-	src, err := dist.NewSourceSeeded(dist.KindUniform, region, opts.Queries, opts.Seed, opts.Seed+1)
-	if err != nil {
-		return cell, err
-	}
-	n := opts.Queries
-	h := g.Handle()
-	for q := 0; q < n; q++ {
-		if q == n/2 {
-			// Compact mid-run so the snapshot is checkpoint + journal
-			// suffix, not just one or the other.
-			if err := g.Checkpoint(); err != nil {
-				return cell, err
-			}
-		}
-		p := src.Next()
-		if err := h.Observe(p, chaosReplCost(p)); err != nil {
-			return cell, fmt.Errorf("observe %d: %w", q, err)
-		}
-	}
-	if err := g.Converge(); err != nil {
-		return cell, err
-	}
-
+// primary's durable state, replayable and loadable. inj must be idle: the
+// step enables its only site.
+func bootstrapKill(g *replica.Group, nt *nettransport.NetTransport, inj *faults.Injector, dir string) error {
 	// Quiesce the stream plane: partitioning the followers kills their
 	// connections and parks the dialers, so the scheduled reset below is
 	// consulted only by the bootstrap socket — fully deterministic.
 	primary := g.PrimaryID()
 	for _, id := range g.IDs() {
 		if id != primary {
-			tr.Partition(id)
+			nt.Partition(id)
 		}
 	}
-	tr.SetSnapshotSource(primary, g)
+	nt.SetSnapshotSource(primary, g)
 
 	wantCkpt, wantJnl, err := g.Snapshot()
 	if err != nil {
-		return cell, err
+		return err
 	}
 	chunks := (len(wantCkpt) + len(wantJnl) + chaosNetChunkBytes - 1) / chaosNetChunkBytes
 	if chunks < 2 {
-		return cell, fmt.Errorf("snapshot spans %d chunk(s); too small for a mid-transfer kill", chunks)
+		return fmt.Errorf("snapshot spans %d chunk(s); too small for a mid-transfer kill", chunks)
 	}
 	// The serving connection's fault-site consultations are deterministic:
 	// 3 reads (preamble, request header, request payload), the meta write,
 	// then one write per chunk. Aim the reset at the middle chunk.
 	inj.Enable(faults.NetReset, faults.SiteConfig{Schedule: []int64{int64(4 + chunks/2 + 1)}})
 
-	res, err := tr.Bootstrap(primary)
+	res, err := nt.Bootstrap(primary)
 	if err != nil {
-		return cell, fmt.Errorf("bootstrap through mid-transfer kill: %w", err)
+		return fmt.Errorf("bootstrap through mid-transfer kill: %w", err)
 	}
 	if res.Resumes < 1 {
-		return cell, fmt.Errorf("transfer finished with %d resumes; the kill should have forced one", res.Resumes)
+		return fmt.Errorf("transfer finished with %d resumes; the kill should have forced one", res.Resumes)
 	}
 	if res.Restarts != 0 {
-		return cell, fmt.Errorf("transfer restarted %d times; a resumable kill must not force a full resync", res.Restarts)
+		return fmt.Errorf("transfer restarted %d times; a resumable kill must not force a full resync", res.Restarts)
 	}
 	if res.Chunks != chunks {
-		return cell, fmt.Errorf("received %d chunks, want exactly %d (no re-shipping of verified chunks)", res.Chunks, chunks)
+		return fmt.Errorf("received %d chunks, want exactly %d (no re-shipping of verified chunks)", res.Chunks, chunks)
 	}
 	if !bytes.Equal(res.Ckpt, wantCkpt) || !bytes.Equal(res.Journal, wantJnl) {
-		return cell, fmt.Errorf("bootstrapped bytes differ from the primary's durable state")
+		return fmt.Errorf("bootstrapped bytes differ from the primary's durable state")
 	}
 
 	// The shipped state must be usable, not merely byte-equal: the journal
 	// suffix replays cleanly and the checkpoint loads as a catalog.
 	recs, truncated, err := journal.Replay(bytes.NewReader(res.Journal))
 	if err != nil || truncated != 0 {
-		return cell, fmt.Errorf("bootstrapped journal does not replay (err %v, truncated %d)", err, truncated)
+		return fmt.Errorf("bootstrapped journal does not replay (err %v, truncated %d)", err, truncated)
 	}
 	if len(recs) == 0 {
-		return cell, fmt.Errorf("bootstrapped journal replayed empty; the post-checkpoint suffix is missing")
+		return fmt.Errorf("bootstrapped journal replayed empty; the post-checkpoint suffix is missing")
 	}
 	ckptPath := filepath.Join(dir, "bootstrapped.mlqc")
 	if err := os.WriteFile(ckptPath, res.Ckpt, 0o644); err != nil {
-		return cell, err
+		return err
 	}
 	if _, _, err := catalog.LoadFile(ckptPath); err != nil {
-		return cell, fmt.Errorf("bootstrapped checkpoint does not load: %w", err)
+		return fmt.Errorf("bootstrapped checkpoint does not load: %w", err)
 	}
 
 	for _, id := range g.IDs() {
 		if id != primary {
-			tr.Heal(id)
+			nt.Heal(id)
 		}
 	}
 	if err := g.Converge(); err != nil {
-		return cell, fmt.Errorf("converge after heal: %w", err)
+		return fmt.Errorf("converge after heal: %w", err)
 	}
-
-	st := g.Stats()
-	cell.Acked = st.Acked
-	cell.AckedLost = st.AckedLost
-	cell.Partitioned = st.Transport.Partitioned
-	cell.fillNetStats(tr.NetStats())
-	return cell, nil
+	return nil
 }

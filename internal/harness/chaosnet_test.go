@@ -21,7 +21,7 @@ func TestChaosNetAllScenarios(t *testing.T) {
 	if len(cells) != 5 {
 		t.Fatalf("got %d cells, want 5 (four fault stories + mid-bootstrap-kill)", len(cells))
 	}
-	byName := map[string]ChaosNetCell{}
+	byName := map[string]ChaosReplCell{}
 	for _, c := range cells {
 		byName[c.Scenario] = c
 	}

@@ -373,7 +373,7 @@ func RenderChaosRepl(w io.Writer, rows []ChaosReplCell) {
 		Title: "Chaos replication: journal-streaming followers, fenced failover, partition heal\n" +
 			"(every scenario converged byte-identically; acked loss bounded by one batch)",
 		Header: []string{"scenario", "NAE", "acked", "lost", "failovers", "fenced",
-			"max-lag", "catchup", "dedup", "drop", "dup", "reorder", "cut"},
+			"max-lag", "catchup", "dedup", "drop", "dup", "reorder", "cut", "overflow"},
 	}
 	for _, c := range rows {
 		t.AddRow(
@@ -383,7 +383,7 @@ func RenderChaosRepl(w io.Writer, rows []ChaosReplCell) {
 			fmt.Sprintf("%d", c.MaxLag), fmt.Sprintf("%d", c.Catchup),
 			fmt.Sprintf("%d", c.Duplicates), fmt.Sprintf("%d", c.Dropped),
 			fmt.Sprintf("%d", c.Duplicated), fmt.Sprintf("%d", c.Reordered),
-			fmt.Sprintf("%d", c.Partitioned),
+			fmt.Sprintf("%d", c.Partitioned), fmt.Sprintf("%d", c.Overflowed),
 		)
 	}
 	t.Fprint(w)
@@ -392,7 +392,7 @@ func RenderChaosRepl(w io.Writer, rows []ChaosReplCell) {
 // RenderChaosNet prints the networked replication chaos experiment: the
 // ChaosRepl fault stories over real loopback sockets, plus the socket
 // layer's own accounting and the resumable-bootstrap scenario.
-func RenderChaosNet(w io.Writer, rows []ChaosNetCell) {
+func RenderChaosNet(w io.Writer, rows []ChaosReplCell) {
 	t := Table{
 		Title: "Chaos replication over sockets: reconnect/backoff, heartbeat liveness, resumable bootstrap\n" +
 			"(same convergence assertions as chaosrepl, carried by the TCP transport under socket-level chaos)",
